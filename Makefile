@@ -1,9 +1,17 @@
 GO ?= go
 
-.PHONY: check build vet fmt test race bench benchfast benchjson loadsmoke relaysmoke gossipsmoke scalesmoke fuzzsmoke obssmoke fabricsmoke transportsmoke crosssmoke staticcheck
+.PHONY: check build vet fmt test race bench benchcheck benchfast benchjson loadsmoke relaysmoke gossipsmoke scalesmoke fuzzsmoke obssmoke fabricsmoke transportsmoke crosssmoke staticcheck
 
 ## check: the extended tier-1 gate — everything a PR must keep green.
-check: fmt vet build race bench loadsmoke relaysmoke gossipsmoke fuzzsmoke obssmoke scalesmoke fabricsmoke transportsmoke crosssmoke
+check: fmt vet build race bench benchcheck loadsmoke relaysmoke gossipsmoke fuzzsmoke obssmoke scalesmoke fabricsmoke transportsmoke crosssmoke
+
+## benchcheck: the repo's benchmark (BENCHMARK.json, bench/) is a
+## module of its own that `./...` does not reach: format, vet and test
+## it (a toy-scale smoke of all six workloads, ~12 s).
+benchcheck:
+	test -z "$$(gofmt -l bench)"
+	$(GO) vet -C bench .
+	$(GO) test -C bench .
 
 ## transportsmoke: the pluggable-wire gate — an in-process relay
 ## bridging a 5%-lossy UDP leg to a framed-TCP leg must converge (the

@@ -9,6 +9,7 @@ package congestion
 
 import (
 	"fmt"
+	"math"
 
 	"softstate/internal/obs"
 )
@@ -84,6 +85,24 @@ func (b *TokenBucket) Take(now, cost float64) {
 	}
 	b.refill(now)
 	b.tokens -= cost
+}
+
+// PacingQuantum is how much link time a paced send loop lets the
+// bucket accumulate before it wakes to build datagrams: long enough
+// that a fast link is not woken once per datagram, and on a slow link
+// less than one datagram's worth, so the loop sends the moment its
+// debt is repaid. A fixed constant, as in TCP's TSO autosizing.
+const PacingQuantum = 1e-3 // seconds
+
+// PaceWait returns how long after now the bucket will hold one pacing
+// quantum — PacingQuantum of tokens at the current rate, capped at
+// batch, the most one wake-up can spend (0 if it already does). A
+// send loop waits this out *before* it picks what to send, then sends
+// while Balance is positive and charges each datagram with Take: a
+// batch is a syscall-amortisation unit, never a pacing unit. batch
+// must not exceed the bucket depth.
+func (b *TokenBucket) PaceWait(now, batch float64) float64 {
+	return b.TimeUntil(now, math.Min(b.rate*PacingQuantum, batch))
 }
 
 // Rate returns the current token rate.

@@ -225,3 +225,29 @@ func TestTokenBucketTakeValidation(t *testing.T) {
 	}()
 	NewTokenBucket(1, 1).Take(0, 0)
 }
+
+func TestTokenBucketPaceWait(t *testing.T) {
+	// Slow link: the quantum is 1 ms of tokens (1000 bits at 1 Mbit/s),
+	// far below the batch cap, so a debt of one datagram is waited out
+	// and no more.
+	b := NewTokenBucket(1e6, 768e3)
+	if got := b.PaceWait(0, 192e3); got != 0 {
+		t.Fatalf("full bucket waits %v", got)
+	}
+	b.Take(0, 768e3+10200) // drained, 10200 bits in debt
+	if got, want := b.PaceWait(0, 192e3), (10200+1000)/1e6; math.Abs(got-want) > 1e-12 {
+		t.Errorf("PaceWait = %v, want %v", got, want)
+	}
+	// Fast link: 1 ms of tokens would be 400 kbit, so the cap (one
+	// batch) is the quantum.
+	f := NewTokenBucket(400e6, 768e3)
+	f.Take(0, 768e3)
+	if got, want := f.PaceWait(0, 192e3), 192e3/400e6; math.Abs(got-want) > 1e-12 {
+		t.Errorf("capped PaceWait = %v, want %v", got, want)
+	}
+	// A rate change moves the quantum with it.
+	f.SetRate(100e6)
+	if got, want := f.PaceWait(0, 192e3), 100e3/100e6; math.Abs(got-want) > 1e-12 {
+		t.Errorf("PaceWait after SetRate = %v, want %v", got, want)
+	}
+}

@@ -31,8 +31,9 @@ type Config struct {
 	// resource the fair queueing divides.
 	LinkRate float64
 
-	// BatchDatagrams is how many datagrams are drained per write (one
-	// sendmmsg on Linux). Default 16.
+	// BatchDatagrams is an upper bound on how many datagrams are
+	// drained per write (one sendmmsg on Linux); under LinkRate a write
+	// carries what the link bucket admits at that wake-up. Default 16.
 	BatchDatagrams int
 
 	// EstimatedCost is the FQ scheduler's G: the estimated service
@@ -149,7 +150,7 @@ type Fabric struct {
 	bconn  *netio.BatchConn
 	demux  *Demux
 	fq     *FQ
-	bucket *congestion.TokenBucket
+	bucket *congestion.TokenBucket // link pacer, owned by sendLoop; nil = unpaced
 
 	mu        sync.Mutex
 	tenants   []*tenant
@@ -185,6 +186,8 @@ func New(cfg Config) (*Fabric, error) {
 		f.fq = NewFQ(cfg.EstimatedCost, cfg.TenantQueue)
 	}
 	if cfg.LinkRate > 0 {
+		// Depth: four full batches (sendLoop's pacing quantum is at
+		// most one).
 		burst := float64(4 * cfg.BatchDatagrams * 8 * 1500)
 		f.bucket = congestion.NewTokenBucket(cfg.LinkRate, burst)
 	}
@@ -321,13 +324,16 @@ func (f *Fabric) Close() error {
 	return nil
 }
 
-// sendLoop is the fabric's single writer: fill the scheduler from
-// every tenant's driven sender, drain one batch by virtual-finish
-// order, pace it under the link bucket, write it with one batched
-// syscall, and charge each tenant its actual bytes.
+// sendLoop is the fabric's single writer: wait until the link bucket
+// holds a pacing quantum, fill the scheduler from every tenant's
+// driven sender, drain by virtual-finish order while the link balance
+// is positive (at most one batch), write that with one batched syscall
+// at once, and charge each tenant its actual bytes. Pacing comes
+// before the pick, so nothing dequeued ever waits on the link bucket.
 func (f *Fabric) sendLoop() {
 	defer f.wg.Done()
 	nb := f.cfg.BatchDatagrams
+	batchBits := float64(nb * 8 * 1500) // the pacing quantum's cap
 	bufs := make([][]byte, 0, nb)
 	dests := make([]net.Addr, 0, nb)
 	picked := make([]*Packet, 0, nb)
@@ -338,9 +344,19 @@ func (f *Fabric) sendLoop() {
 			return
 		default:
 		}
-		if now := time.Now(); now.After(nextGauges) {
+		wall := time.Now()
+		if wall.After(nextGauges) {
 			f.refreshGauges()
-			nextGauges = now.Add(250 * time.Millisecond)
+			nextGauges = wall.Add(250 * time.Millisecond)
+		}
+		now := float64(wall.UnixNano()) / 1e9 // the link bucket's clock
+		if f.bucket != nil {
+			if wait := f.bucket.PaceWait(now, batchBits); wait > 0 {
+				if !f.sleep(time.Duration(wait * float64(time.Second))) {
+					return
+				}
+				continue
+			}
 		}
 
 		// Fill: pull each tenant's next datagrams while its queue has
@@ -366,8 +382,7 @@ func (f *Fabric) sendLoop() {
 
 		// Drain one batch in virtual-finish order.
 		bufs, dests, picked = bufs[:0], dests[:0], picked[:0]
-		bits := 0.0
-		for len(picked) < nb {
+		for len(picked) < nb && (f.bucket == nil || f.bucket.Balance(now) > 0) {
 			p, ok := f.fq.Dequeue()
 			if !ok {
 				break
@@ -375,7 +390,9 @@ func (f *Fabric) sendLoop() {
 			picked = append(picked, p)
 			bufs = append(bufs, p.Bytes())
 			dests = append(dests, p.Dest)
-			bits += float64(8 * len(p.Bytes()))
+			if f.bucket != nil {
+				f.bucket.Take(now, float64(8*len(p.Bytes())))
+			}
 			f.m.picks.Inc()
 		}
 		if len(picked) == 0 {
@@ -387,12 +404,6 @@ func (f *Fabric) sendLoop() {
 				}
 			}
 			continue
-		}
-		if f.bucket != nil && !f.throttle(bits) {
-			for _, p := range picked {
-				f.fq.Release(p)
-			}
-			return // closed while waiting
 		}
 		sent, _ := f.bconn.WriteBatchAddrs(bufs, dests)
 		f.mu.Lock()
@@ -458,20 +469,5 @@ func (f *Fabric) sleep(d time.Duration) bool {
 		return false
 	case <-f.waitTimer.C:
 		return true
-	}
-}
-
-// throttle blocks until the link bucket admits bits; false means the
-// fabric closed while waiting.
-func (f *Fabric) throttle(bits float64) bool {
-	for {
-		now := float64(time.Now().UnixNano()) / 1e9
-		if f.bucket.Allow(now, bits) {
-			return true
-		}
-		wait := f.bucket.TimeUntil(now, bits)
-		if !f.sleep(time.Duration(wait * float64(time.Second))) {
-			return false
-		}
 	}
 }

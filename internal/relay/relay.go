@@ -92,8 +92,10 @@ type Config struct {
 
 	// Stripes shards the upstream replica and every downstream
 	// sender's table by key hash; CoalesceRecords and BatchDatagrams
-	// set the downstream links' MTU coalescing and sendmmsg batching.
-	// All default to 1 (the pre-sharding behavior); see
+	// set the downstream links' MTU coalescing and sendmmsg batching
+	// (BatchDatagrams is an upper bound: a paced link writes what its
+	// token bucket admits per wake-up, never a batch it must then wait
+	// out). All default to 1 (the pre-sharding behavior); see
 	// sstp.SenderConfig for semantics. A relay tree mixing different
 	// stripe counts per hop still hashes to the origin digest, because
 	// the combined root is independent of the stripe count.

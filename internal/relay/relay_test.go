@@ -1,7 +1,10 @@
 package relay
 
 import (
+	"encoding/binary"
 	"fmt"
+	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -398,5 +401,107 @@ func TestRelayScopeExhaustion(t *testing.T) {
 	}
 	if st := tt.relays[0].Stats(); st.ScopeDrops != 0 {
 		t.Errorf("first relay dropped %d updates despite scope 2, want 0", st.ScopeDrops)
+	}
+}
+
+// TestHotUpdateThroughRelayNotParked is the relay-hop half of the
+// pace-before-pick pin (see sstp.TestHotUpdateNotParkedBehindBatch): a
+// relay's downstream link is a plain sstp.Sender, so a fresh update
+// crossing publisher → relay → leaf over two 1 Mbit/s links with a
+// 16-datagram batch bound must not wait out a batch's link time at
+// either hop (~270 ms + ~200 ms when each loop picked, then paced).
+func TestHotUpdateThroughRelayNotParked(t *testing.T) {
+	const (
+		rate    = 1e6
+		table   = 1024
+		updates = 50
+	)
+	nw := sstp.NewMemNetwork(3)
+	pc := nw.Endpoint("pub")
+	nw.Join("grp/root", "pub")
+	pub, err := sstp.NewSender(sstp.SenderConfig{
+		Session: 9, SenderID: 1, Conn: pc, Dest: sstp.MemAddr("grp/root"),
+		TotalRate: rate, BatchDatagrams: 16, CoalesceRecords: 32,
+		SummaryInterval: 200 * time.Millisecond, TTL: 60 * time.Second, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	up := nw.Endpoint("up/0")
+	nw.Join("grp/root", "up/0")
+	dn := nw.Endpoint("dn/0")
+	nw.Join("grp/0", "dn/0")
+	r, err := New(Config{
+		Session: 9, RelayID: 100,
+		UpstreamConn: up, UpstreamFeedback: sstp.MemAddr("grp/root"),
+		Downstreams:     []Downstream{{Conn: dn, Dest: sstp.MemAddr("grp/0"), Rate: rate}},
+		BatchDatagrams:  16,
+		CoalesceRecords: 32,
+		TTL:             60 * time.Second,
+		SummaryInterval: 200 * time.Millisecond,
+		NACKWindow:      50 * time.Millisecond,
+		Seed:            1000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first four value bytes carry the update's number (0: the
+	// initial table); seen[i] is when the leaf first delivered update i.
+	var mu sync.Mutex
+	seen := make(map[uint32]time.Time)
+	lc := nw.Endpoint("leaf/0")
+	nw.Join("grp/0", "leaf/0")
+	leaf, err := sstp.NewReceiver(sstp.ReceiverConfig{
+		Session: 9, ReceiverID: 10_000, Conn: lc,
+		FeedbackDest: sstp.MemAddr("grp/0"), NACKWindow: 50 * time.Millisecond, Seed: 2000,
+		OnUpdate: func(_ string, value []byte, _ uint64, _ float64) {
+			if stamp := binary.BigEndian.Uint32(value); stamp != 0 {
+				mu.Lock()
+				if seen[stamp].IsZero() {
+					seen[stamp] = time.Now()
+				}
+				mu.Unlock()
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	value := func(stamp uint32) []byte {
+		v := make([]byte, 64)
+		binary.BigEndian.PutUint32(v, stamp)
+		return v
+	}
+	for i := 0; i < table; i++ {
+		if err := pub.Publish(fmt.Sprintf("load/%03d/%d", i%256, i), value(0), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pub.Start()
+	r.Start()
+	leaf.Start()
+	defer func() { leaf.Close(); r.Close(); pub.Close() }()
+	waitFor(t, 20*time.Second, "leaf holds the table", func() bool { return leaf.Len() == table })
+
+	published := make([]time.Time, updates)
+	for i := range published {
+		time.Sleep(40 * time.Millisecond)
+		published[i] = time.Now()
+		if err := pub.Publish(fmt.Sprintf("load/%03d/%d", (i*37)%256, (i*37)%table), value(uint32(i+1)), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, 5*time.Second, "every update at the leaf", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(seen) == updates
+	})
+	gaps := make([]time.Duration, updates)
+	for i, at := range published {
+		gaps[i] = seen[uint32(i+1)].Sub(at)
+	}
+	sort.Slice(gaps, func(i, j int) bool { return gaps[i] < gaps[j] })
+	if med := gaps[updates/2]; med >= 40*time.Millisecond {
+		t.Errorf("median publish→leaf delivery %v across two paced hops, want < 40ms", med)
 	}
 }

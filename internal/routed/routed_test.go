@@ -124,9 +124,11 @@ func TestBestPathSelection(t *testing.T) {
 	if err := r2.Advertise(Route{Prefix: "10.1.0.0/16", NextHop: "via-r2", Metric: 2}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 10*time.Second, "best = r2", func() bool {
+	// Wait for both advertisements, not just the winning one: Best can
+	// converge on r2 before r1's route has arrived.
+	waitFor(t, 10*time.Second, "best = r2 with both routes known", func() bool {
 		b, ok := rib.Best("10.1.0.0/16")
-		return ok && b.Origin == "r2"
+		return ok && b.Origin == "r2" && len(rib.Alternates("10.1.0.0/16")) == 2
 	})
 	alts := rib.Alternates("10.1.0.0/16")
 	if len(alts) != 2 || alts[0].Origin != "r2" || alts[1].Origin != "r1" {

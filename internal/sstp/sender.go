@@ -104,8 +104,12 @@ type SenderConfig struct {
 	// protocol.MaxBatch). 0 or 1 sends one record per datagram.
 	CoalesceRecords int
 
-	// BatchDatagrams is how many announcement datagrams are handed to
-	// the socket per send operation (one sendmmsg on Linux). Default 1.
+	// BatchDatagrams is an upper bound on how many datagrams are handed
+	// to the socket per send operation (one sendmmsg on Linux): a
+	// syscall-amortisation unit, never a pacing unit. The send loop
+	// writes what the token bucket admits at each wake-up, which is
+	// fewer at low rates and the full bound only when the bucket is not
+	// the bottleneck. Default 1.
 	BatchDatagrams int
 
 	// OnRateLimit, if non-nil, is invoked when the allocator detects
@@ -198,6 +202,7 @@ func (c SenderConfig) withDefaults() (SenderConfig, error) {
 type SenderStats struct {
 	DataSent       int // record announcements (frames), not datagrams
 	DatagramsSent  int // data datagrams; < DataSent when coalescing
+	BatchesSent    int // WriteBatch calls by the sender's own loop (0 when driven)
 	SummariesSent  int
 	DigestsSent    int
 	HeartbeatsSent int
@@ -321,9 +326,10 @@ type Sender struct {
 	pubBits     float64 // bits published in the window
 
 	// Hot-path reuse: the announcement datagram buffer, the frame
-	// accumulator, and the Data message are owned by sendLoop (via
-	// nextDatagram), the wait timer by sendLoop's throttle/idle
-	// sleeps. Zero allocations per announcement in steady state.
+	// accumulator, and the Data message are owned by whichever
+	// goroutine drives NextWire (sendLoop, or a fabric's writer), the
+	// wait timer by sendLoop's sleeps. Zero allocations per
+	// announcement in steady state.
 	encBuf       []byte
 	frameBuf     []byte   // coalesced record frames for the datagram being built
 	pending      []byte   // frame that overflowed the previous datagram's budget
@@ -344,13 +350,16 @@ type Sender struct {
 	// the loop has already picked. Guarded by mu.
 	goodbyePending bool
 
-	// Driven mode (StartDriven/NextWire): the fields below are owned
-	// by the single driving goroutine, mirroring sendLoop's locals.
+	// NextWire state, owned by the single driving goroutine: sendLoop
+	// after Start, the external driver after StartDriven.
 	driven      bool
 	nextSummary time.Time
 	lastSweep   float64
 	ctlBuf      []byte // control datagrams built by NextWire
 
+	// wake cuts sendLoop's idle nap short: Publish, Delete and Goodbye
+	// poke it so new work does not wait out the nap.
+	wake chan struct{}
 	done chan struct{}
 	wg   sync.WaitGroup
 	once sync.Once
@@ -362,18 +371,17 @@ func NewSender(cfg SenderConfig) (*Sender, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The bucket burst must admit a full batch of MTU-sized datagrams,
-	// or batched sends would starve behind their own rate limiter.
-	burst := 4
-	if 4*cfg.BatchDatagrams > burst {
-		burst = 4 * cfg.BatchDatagrams
-	}
+	// Bucket depth is four full batches: it must hold sendLoop's pacing
+	// quantum (at most one batch), and the slack keeps a loop that was
+	// held off the CPU for a few batch times from forfeiting its rate.
+	burst := float64(4 * cfg.BatchDatagrams * 8 * 1500)
 	s := &Sender{
 		cfg:         cfg,
 		bconn:       netio.Wrap(cfg.Conn),
 		entries:     make(map[string]*sendEntry),
 		classByName: make(map[string]int),
-		bucket:      congestion.NewTokenBucket(cfg.TotalRate, float64(burst*8*1500)),
+		bucket:      congestion.NewTokenBucket(cfg.TotalRate, burst),
+		wake:        make(chan struct{}, 1),
 		done:        make(chan struct{}),
 		started:     nowSeconds(),
 		m:           newSenderMetrics(cfg.Obs, cfg.Classes),
@@ -457,7 +465,7 @@ func (s *Sender) dropExpired(keys []string) {
 }
 
 // sweep expires lapsed records stripe by stripe (O(1) per stripe when
-// nothing is due). Only sendLoop calls it.
+// nothing is due). Only NextWire calls it.
 func (s *Sender) sweep(now float64) {
 	for _, st := range s.stripes {
 		st.mu.Lock()
@@ -474,6 +482,7 @@ func (s *Sender) Start() {
 	if s.driven {
 		panic("sstp: Start after StartDriven")
 	}
+	s.nextSummary = time.Now().Add(s.cfg.SummaryInterval)
 	s.wg.Add(2)
 	go s.sendLoop()
 	go s.recvLoop()
@@ -498,10 +507,14 @@ func (s *Sender) StartDriven() {
 // Goodbye, a due summary (or heartbeat), or the next coalesced
 // announcement, in that priority order. ok=false means the session
 // has nothing to send right now — nothing queued, or its token bucket
-// is drained. The returned buffer is owned by the sender and valid
-// only until the next NextWire call; drivers copy it out. Only the
-// single driving goroutine may call NextWire, and only on a sender
-// started with StartDriven.
+// is drained. An announcement is built only while the bucket balance
+// is positive and is then charged its true size, so the balance
+// overdraws by at most one datagram and repays out of refill: nothing
+// is ever picked and then parked behind the pacer. The returned buffer
+// is owned by the sender and valid only until the next NextWire call;
+// drivers copy it out. Only the single driving goroutine may call
+// NextWire: the sender's own sendLoop after Start, the external driver
+// after StartDriven.
 func (s *Sender) NextWire() ([]byte, bool) {
 	s.mu.Lock()
 	goodbye := s.goodbyePending
@@ -535,9 +548,9 @@ func (s *Sender) NextWire() ([]byte, bool) {
 	return buf, true
 }
 
-// summaryWire is sendSummary for driven senders: it builds the
-// summary (or heartbeat) datagram instead of transmitting it, and
-// leaves pacing to the driver.
+// summaryWire builds the periodic summary datagram — the root digest,
+// or a heartbeat while the table is empty, which keeps the sequence
+// space alive so receivers can estimate loss.
 func (s *Sender) summaryWire() []byte {
 	digest, count := s.rootSummary()
 	var msg protocol.Message
@@ -559,9 +572,9 @@ func (s *Sender) summaryWire() []byte {
 	return s.encodeControl(msg)
 }
 
-// encodeControl seals one control message into the driven sender's
-// control buffer (valid until the next NextWire call), charging the
-// session bucket the true datagram size.
+// encodeControl seals one control message into NextWire's control
+// buffer (valid until the next NextWire call), charging the session
+// bucket the true datagram size.
 func (s *Sender) encodeControl(msg protocol.Message) []byte {
 	s.mu.Lock()
 	s.seq++
@@ -626,6 +639,7 @@ func (s *Sender) Goodbye() {
 	s.m.live.Set(0)
 	s.goodbyePending = true
 	s.mu.Unlock()
+	s.poke()
 }
 
 // Publish inserts or updates a record. Lifetime 0 means the record
@@ -717,6 +731,7 @@ func (s *Sender) publish(key string, value []byte, version uint64, haveVersion b
 	e.tombstone = 0
 	s.moveTo(e, sqHot)
 	s.m.live.Set(float64(s.liveN.Load()))
+	s.poke()
 	return nil
 }
 
@@ -758,6 +773,7 @@ func (s *Sender) Delete(key string) bool {
 	s.m.deletes.Inc()
 	s.m.live.Set(float64(s.liveN.Load()))
 	traceRecord(s.cfg.Trace, s.cfg.TraceNode, trace.Die, key)
+	s.poke()
 	return true
 }
 
@@ -877,15 +893,19 @@ func (s *Sender) send(msg protocol.Message) {
 	pktPool.Put(bp)
 }
 
-// sendLoop is the announcement scheduler: it picks hot/cold records
-// under the token bucket, coalesces them into MTU-sized datagrams,
-// hands up to BatchDatagrams of them to the socket at once (one
-// sendmmsg on Linux), and interleaves periodic summaries.
+// sendLoop is the one-tenant driver of NextWire: wait for tokens
+// first, pick last, write at once. It sleeps until the bucket holds
+// one pacing quantum, collects wires while NextWire has one ready (up
+// to BatchDatagrams) and hands them to the socket immediately (one
+// sendmmsg on Linux). Batch size thereby follows the rate: one
+// datagram per wake-up at 1 Mbit/s, a full batch when the bucket is
+// not the bottleneck — and a new hot record never waits behind
+// datagrams that were picked before it but not yet written.
 func (s *Sender) sendLoop() {
 	defer s.wg.Done()
-	nextSummary := time.Now().Add(s.cfg.SummaryInterval)
 	nb := s.cfg.BatchDatagrams
-	txStore := make([][]byte, nb) // persistent per-slot buffers
+	batchBits := float64(nb * 8 * 1500) // the pacing quantum's cap
+	txStore := make([][]byte, nb)       // persistent per-slot buffers
 	txBufs := make([][]byte, 0, nb)
 	for {
 		select {
@@ -893,95 +913,78 @@ func (s *Sender) sendLoop() {
 			return
 		default:
 		}
-		s.mu.Lock()
-		goodbye := s.goodbyePending
-		s.goodbyePending = false
-		s.mu.Unlock()
-		if goodbye {
-			s.send(&protocol.Goodbye{})
-		}
-		if time.Now().After(nextSummary) {
-			s.sendSummary()
-			nextSummary = time.Now().Add(s.cfg.SummaryInterval)
-			continue
-		}
-		s.sweep(nowSeconds())
 		txBufs = txBufs[:0]
-		bits := 0.0
-		for i := 0; i < nb; i++ {
-			buf, ok := s.nextDatagram()
+		for len(txBufs) < nb {
+			buf, ok := s.NextWire()
 			if !ok {
 				break
 			}
-			// nextDatagram reuses its buffer; park a copy in this
-			// slot's persistent storage so the batch can accumulate.
+			// NextWire reuses its buffer; park a copy in this slot's
+			// persistent storage so the batch can accumulate.
+			i := len(txBufs)
 			txStore[i] = append(txStore[i][:0], buf...)
 			txBufs = append(txBufs, txStore[i])
-			bits += float64(8 * len(buf))
 		}
-		if len(txBufs) == 0 {
-			// Idle: heartbeat keeps the sequence space alive so
-			// receivers can estimate loss, then nap briefly.
-			s.idleWait(&nextSummary)
-			continue
+		if len(txBufs) > 0 {
+			_, _ = s.bconn.WriteBatch(s.cfg.Dest, txBufs)
 		}
-		if !s.throttle(bits) {
-			return // closed while waiting
+		s.mu.Lock()
+		if len(txBufs) > 0 {
+			s.stats.BatchesSent++
 		}
-		_, _ = s.bconn.WriteBatch(s.cfg.Dest, txBufs)
+		wait := s.bucket.PaceWait(nowSeconds(), batchBits)
+		s.mu.Unlock()
+		switch {
+		case wait > 0:
+			// Out of tokens: nothing a Publish could change until the
+			// bucket refills, so this sleep is not wakeable.
+			if !s.sleep(time.Duration(wait*float64(time.Second)), nil) {
+				return
+			}
+		case len(txBufs) < nb:
+			// Tokens in hand and nothing queued: nap until the next
+			// summary is due or new work pokes the loop.
+			d := 20 * time.Millisecond
+			if until := time.Until(s.nextSummary); until < d {
+				d = until
+			}
+			if !s.sleep(d, s.wake) {
+				return
+			}
+		}
 	}
 }
 
-// sleep waits for d (or until Close) reusing one timer across calls
-// instead of allocating a time.After per wait. Only sendLoop may call
-// it. It returns false if the sender closed while waiting.
-func (s *Sender) sleep(d time.Duration) bool {
+// sleep waits for d, a receive on wake (nil: not wakeable) or Close,
+// reusing one timer across calls instead of allocating a time.After
+// per wait. Only sendLoop may call it. It returns false if the sender
+// closed while waiting.
+func (s *Sender) sleep(d time.Duration, wake <-chan struct{}) bool {
 	if s.waitTimer == nil {
 		s.waitTimer = time.NewTimer(d)
 	} else {
 		s.waitTimer.Reset(d)
 	}
+	open := true
 	select {
-	case <-s.done:
-		if !s.waitTimer.Stop() {
-			<-s.waitTimer.C
-		}
-		return false
 	case <-s.waitTimer.C:
 		return true
+	case <-wake:
+	case <-s.done:
+		open = false
 	}
+	if !s.waitTimer.Stop() {
+		<-s.waitTimer.C
+	}
+	return open
 }
 
-// idleWait sleeps briefly when there is nothing to announce.
-func (s *Sender) idleWait(nextSummary *time.Time) {
-	d := 20 * time.Millisecond
-	if until := time.Until(*nextSummary); until < d {
-		d = until
-		if d < 0 {
-			d = 0
-		}
-	}
-	s.sleep(d)
-}
-
-// throttle blocks until the token bucket admits a send of the given
-// size; it returns false if the sender closed while waiting.
-func (s *Sender) throttle(bits float64) bool {
-	for {
-		s.mu.Lock()
-		now := nowSeconds()
-		okNow := s.bucket.Allow(now, bits)
-		var wait float64
-		if !okNow {
-			wait = s.bucket.TimeUntil(now, bits)
-		}
-		s.mu.Unlock()
-		if okNow {
-			return true
-		}
-		if !s.sleep(time.Duration(wait * float64(time.Second))) {
-			return false
-		}
+// poke wakes sendLoop from its idle nap (non-blocking: one pending
+// wake-up is as good as many).
+func (s *Sender) poke() {
+	select {
+	case s.wake <- struct{}{}:
+	default:
 	}
 }
 
@@ -1129,30 +1132,6 @@ func (s *Sender) pickFrame(dst []byte) ([]byte, bool) {
 		s.share.Charge(leaf, float64(8*frameLen))
 		return dst, true
 	}
-}
-
-func (s *Sender) sendSummary() {
-	digest, count := s.rootSummary()
-	var msg protocol.Message
-	if count == 0 {
-		msg = &protocol.Heartbeat{}
-		s.mu.Lock()
-		s.stats.HeartbeatsSent++
-		s.mu.Unlock()
-		s.m.heartbeats.Inc()
-	} else {
-		sum := &protocol.Summary{Count: uint32(count)}
-		copy(sum.Digest[:], digest[:])
-		msg = sum
-		s.mu.Lock()
-		s.stats.SummariesSent++
-		s.mu.Unlock()
-		s.m.summaries.Inc()
-	}
-	if !s.throttle(800) {
-		return
-	}
-	s.send(msg)
 }
 
 // recvLoop handles feedback: NACKs, namespace queries, and receiver

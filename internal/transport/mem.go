@@ -41,6 +41,8 @@ type MemNetwork struct {
 	defLoss   float64
 	defDelay  time.Duration
 	defJitter time.Duration
+
+	overflows atomic.Uint64 // datagrams dropped on a full inbox, all endpoints
 }
 
 // NewMemNetwork returns an empty network with the given RNG seed.
@@ -56,6 +58,11 @@ func NewMemNetwork(seed int64) *MemNetwork {
 		addrbox:   make(map[MemAddr]net.Addr),
 	}
 }
+
+// Overflows returns how many datagrams the network dropped because the
+// destination's inbox was full, across every endpoint it ever had —
+// the drops injected loss does not account for.
+func (n *MemNetwork) Overflows() uint64 { return n.overflows.Load() }
 
 // Transport returns the network as a Transport with scheme "mem", so
 // in-process topologies plug into the same Bind/Resolve path as real
@@ -181,7 +188,7 @@ func (n *MemNetwork) Endpoint(addr MemAddr) *MemConn {
 	c := &MemConn{
 		net:   n,
 		addr:  addr,
-		inbox: make(chan memPacket, 4096),
+		inbox: make(chan memPacket, memInboxSlots),
 	}
 	n.endpoints[addr] = c
 	return c
@@ -305,6 +312,10 @@ func (p *memPacket) recycle() {
 	}
 }
 
+// memInboxSlots is an endpoint's receive queue depth in datagrams;
+// arrivals beyond it are dropped and counted (Overflows).
+const memInboxSlots = 4096
+
 // MemConn is one endpoint of a MemNetwork; it implements
 // net.PacketConn.
 type MemConn struct {
@@ -312,6 +323,10 @@ type MemConn struct {
 	addr  MemAddr
 	inbox chan memPacket
 	mu    sync.Mutex
+
+	// overflows counts datagrams dropped on a full inbox: a reader too
+	// slow for its senders, the in-process router drop.
+	overflows atomic.Uint64
 
 	// closed is atomic so the network's routing fast path (which holds
 	// only the network lock) can test liveness without racing Close;
@@ -345,9 +360,15 @@ func (c *MemConn) deliver(p memPacket) {
 	select {
 	case c.inbox <- p:
 	default: // queue overflow models router drop
+		c.overflows.Add(1)
+		c.net.overflows.Add(1)
 		p.recycle()
 	}
 }
+
+// Overflows returns how many datagrams bound for this endpoint were
+// dropped because its inbox was full.
+func (c *MemConn) Overflows() uint64 { return c.overflows.Load() }
 
 // ReadFrom implements net.PacketConn.
 func (c *MemConn) ReadFrom(b []byte) (int, net.Addr, error) {
