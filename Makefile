@@ -1,9 +1,16 @@
 GO ?= go
 
-.PHONY: check build vet fmt test race bench benchcheck benchfast benchjson loadsmoke relaysmoke gossipsmoke scalesmoke fuzzsmoke obssmoke fabricsmoke transportsmoke crosssmoke staticcheck
+.PHONY: check build vet fmt test race bench benchcheck benchfast benchjson fuzzsmoke crosssmoke cmdguard staticcheck
 
 ## check: the extended tier-1 gate — everything a PR must keep green.
-check: fmt vet build race bench benchcheck loadsmoke relaysmoke gossipsmoke fuzzsmoke obssmoke scalesmoke fabricsmoke transportsmoke crosssmoke
+check: fmt vet build race bench benchcheck fuzzsmoke crosssmoke cmdguard
+
+## cmdguard: no binary under cmd/ carries a test — none links the test
+## framework, and no daemon regrows a smoke flag (scenarios live in
+## `go test`; ssbench's -quick shortens simulations and is not one).
+cmdguard:
+	@! $(GO) list -deps ./cmd/... | grep -qx testing || { echo "a cmd/ binary links the testing package"; exit 1; }
+	@! grep -rnE '"(quick|obssmoke|transport-smoke)"' cmd --include='*.go' --exclude-dir=ssbench
 
 ## benchcheck: the repo's benchmark (BENCHMARK.json, bench/) is a
 ## module of its own that `./...` does not reach: format, vet and test
@@ -13,60 +20,11 @@ benchcheck:
 	$(GO) vet -C bench .
 	$(GO) test -C bench .
 
-## transportsmoke: the pluggable-wire gate — an in-process relay
-## bridging a 5%-lossy UDP leg to a framed-TCP leg must converge (the
-## repair machinery covering the datagram leg, the stream framing
-## preserving datagram boundaries), then a verified-TLS handshake
-## smoke with a generated self-signed pair.
-transportsmoke:
-	$(GO) run ./cmd/ssload -transport-smoke
-
-## fabricsmoke: 64 tenant sessions multiplexed over one shared socket,
-## with one 10x-bursty tenant; fails unless every tenant converges
-## under fair queueing and the non-bursty tenants' p99 stays within 2x
-## of the equal-load baseline (the FIFO comparison phase documents the
-## starvation the scheduler removes).
-fabricsmoke:
-	$(GO) run ./cmd/ssload -sessions 64 -quick
-
 ## crosssmoke: cross-compile gate for the non-Linux fallbacks (the
 ## batched-syscall layer is Linux-only and must stub cleanly).
 crosssmoke:
 	GOOS=darwin GOARCH=arm64 $(GO) build ./...
 	GOOS=windows GOARCH=amd64 $(GO) build ./...
-
-## loadsmoke: drive the live stack end-to-end under ssload's quick
-## profile; fails unless every receiver's replica converges.
-loadsmoke:
-	$(GO) run ./cmd/ssload -quick
-
-## scalesmoke: quick striped+batched scaling smoke — a 4-stripe
-## coalescing sender converging against a 1-stripe receiver at
-## GOMAXPROCS 1 and 2; fails unless every trial reaches digest
-## equality (the combined-root identity gate).
-scalesmoke:
-	GOMAXPROCS=2 $(GO) run ./cmd/ssload -scale -quick
-
-## gossipsmoke: 8-node anti-entropy mesh over a 2%-lossy memconn
-## network; fails unless every replica converges to one digest and a
-## node killed mid-run re-converges (and is evicted then rejoined by
-## the survivors) after restarting empty on the same address.
-gossipsmoke:
-	$(GO) run ./cmd/ssgossip -quick
-
-## relaysmoke: publisher → relay → 4 leaves over a lossy memconn
-## network; fails unless the tree converges, repair stays local, and
-## the publisher's Goodbye flushes every hop.
-relaysmoke:
-	$(GO) run ./cmd/ssrelay -quick
-
-## obssmoke: start an in-process sender + receiver with the admin
-## endpoint, scrape /metrics and /stats.json over HTTP, and fail
-## unless the consistency section (staleness, t-visibility, E[c(t)])
-## is present and non-empty and /trace shows node-stamped lifecycle
-## events.
-obssmoke:
-	$(GO) run ./cmd/sstpd -obssmoke
 
 ## staticcheck: run honnef.co/go/tools if the binary is on PATH
 ## (CI installs it; locally this is a no-op with a hint).
@@ -122,25 +80,9 @@ benchfast:
 	$(GO) test -run=^$$ -benchmem -benchtime=200ms \
 		-bench='NamespaceForest' ./internal/namespace/
 
-## benchjson: regenerate BENCH_ssbench.json (per-experiment wall-time
-## + headline-metric trajectory), BENCH_ssload.json (live-stack
-## load/allocation record), BENCH_ssrelay.json (relay overlay tree
-## convergence + per-hop repair latency), BENCH_ssvis.json (a
-## visibility-focused tree run: per-hop t-visibility quantiles plus
-## the leaves' online consistency snapshot), and BENCH_ssscale.json
-## (GOMAXPROCS sweep over the striped/coalescing hot path plus the
-## million-record convergence run), and BENCH_ssfabric.json (1024
-## tenant sessions over one shared link: per-tenant fair-queueing
-## isolation vs the FIFO baseline), and BENCH_sstransport.json (the
-## quick profile over udp vs tcp vs tls with identical injected loss:
-## t_rec quantiles plus datagrams/bytes per record); formats
-## documented in EXPERIMENTS.md.
+## benchjson: regenerate BENCH_ssbench.json, the paper-figure record
+## (per-experiment wall time + headline-metric trajectory; format in
+## EXPERIMENTS.md). The live stack's numbers come from bench/
+## (BENCHMARK.json, bench/README.md), not from a checked-in file.
 benchjson:
 	$(GO) run ./cmd/ssbench -quick -all -json > BENCH_ssbench.json
-	$(GO) run ./cmd/ssload -records 512 -receivers 4 -duration 5s -loss 0.02 -json > BENCH_ssload.json
-	$(GO) run ./cmd/ssload -relay-depth 2 -relay-fanout 4 -loss 0.05 -json > BENCH_ssrelay.json
-	$(GO) run ./cmd/ssload -relay-depth 2 -relay-fanout 2 -records 256 -duration 8s -loss 0.05 -jitter 5ms -json > BENCH_ssvis.json
-	$(GO) run ./cmd/ssload -scale -json > BENCH_ssscale.json
-	$(GO) run ./cmd/ssload -sessions 1024 -duration 2s -loss 0.02 -json > BENCH_ssfabric.json
-	$(GO) run ./cmd/ssload -transport-compare -json > BENCH_sstransport.json
-	$(GO) run ./cmd/ssload -gossip-peers 16 -records 128 -loss 0.02 -churn -json > BENCH_ssgossip.json

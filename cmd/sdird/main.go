@@ -18,15 +18,16 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"net"
 	"os"
-	"os/signal"
 	"strings"
 	"time"
 
+	"softstate/cmd/internal/daemon"
 	"softstate/internal/obs"
 	"softstate/internal/sdir"
 	"softstate/internal/sstp"
@@ -34,36 +35,37 @@ import (
 	"softstate/internal/transport"
 )
 
-func main() {
-	announce := flag.Bool("announce", false, "run as announcer")
-	browse := flag.Bool("browse", false, "run as browser")
-	laddr := flag.String("laddr", "127.0.0.1:9875", "local address (bare host:port or scheme://host:port)")
-	peer := flag.String("dest", "127.0.0.1:9876", "announcer: destination address")
-	sender := flag.String("sender", "127.0.0.1:9875", "browser: announcer address for feedback")
-	session := flag.Uint64("session", 9875, "SSTP session id")
-	rate := flag.Float64("rate", 64_000, "session bandwidth (bits/s)")
-	admin := flag.String("admin", "", "serve /metrics, /stats.json, /trace, /debug/pprof on this address")
-	transportName := flag.String("transport", "udp", "wire transport for bare addresses: udp, tcp, or tls")
-	tlsCert := flag.String("tlscert", "", "TLS certificate PEM (tls transport; empty generates self-signed)")
-	tlsKey := flag.String("tlskey", "", "TLS private key PEM")
-	tlsCA := flag.String("tlsca", "", "CA PEM: verify dialed peers and require client certs (mTLS)")
-	tlsName := flag.String("tlsname", "", "expected server name on dialed TLS peers")
-	flag.Parse()
+func main() { daemon.Main(run) }
 
-	topts, err := transport.TLSOptions(*tlsCert, *tlsKey, *tlsCA, *tlsName)
-	if err != nil {
-		log.Fatal(err)
+func run(ctx context.Context, args []string) error {
+	fs := flag.NewFlagSet("sdird", flag.ExitOnError)
+	announce := fs.Bool("announce", false, "run as announcer")
+	browse := fs.Bool("browse", false, "run as browser")
+	laddr := fs.String("laddr", "127.0.0.1:9875", "local address (bare host:port or scheme://host:port)")
+	peer := fs.String("dest", "127.0.0.1:9876", "announcer: destination address")
+	sender := fs.String("sender", "127.0.0.1:9875", "browser: announcer address for feedback")
+	session := fs.Uint64("session", 9875, "SSTP session id")
+	rate := fs.Float64("rate", 64_000, "session bandwidth (bits/s)")
+	admin := fs.String("admin", "", "serve /metrics, /stats.json, /trace, /debug/pprof on this address")
+	var wire transport.Flags
+	wire.Register(fs)
+	_ = fs.Parse(args) // ExitOnError: a bad flag has already exited
+
+	if !*announce && !*browse {
+		return fmt.Errorf("sdird: need -announce or -browse")
 	}
-	bind := func(la, dst string) (transport.Conn, net.Addr) {
-		tr, conn, err := transport.Bind(la, *transportName, topts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		addr, err := transport.Resolve(tr, dst)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return conn, addr
+	remote := *sender
+	if *announce {
+		remote = *peer
+	}
+	tr, conn, err := wire.Bind(*laddr)
+	if err != nil {
+		return err
+	}
+	defer conn.Close()
+	dst, err := transport.Resolve(tr, remote)
+	if err != nil {
+		return err
 	}
 
 	reg := obs.New("sdird")
@@ -71,33 +73,26 @@ func main() {
 	if *admin != "" {
 		srv, addr, err := obs.ServeAdmin(*admin, reg, ring)
 		if err != nil {
-			log.Fatalf("admin: %v", err)
+			return fmt.Errorf("admin: %w", err)
 		}
 		defer srv.Close()
 		log.Printf("sdird: admin endpoint on http://%s/", addr)
 	}
 
-	switch {
-	case *announce:
-		conn, dst := bind(*laddr, *peer)
-		runAnnouncer(conn, dst, *laddr, *peer, *session, *rate, reg, ring)
-	case *browse:
-		conn, dst := bind(*laddr, *sender)
-		runBrowser(conn, dst, *laddr, *session, reg, ring)
-	default:
-		fmt.Fprintln(os.Stderr, "need -announce or -browse")
-		os.Exit(2)
+	if *announce {
+		return runAnnouncer(ctx, conn, dst, *laddr, *peer, *session, *rate, reg, ring)
 	}
+	return runBrowser(ctx, conn, dst, *laddr, *session, reg, ring)
 }
 
-func runAnnouncer(conn transport.Conn, dst net.Addr, laddr, dest string, session uint64, rate float64, reg *obs.Registry, ring *trace.Ring) {
+func runAnnouncer(ctx context.Context, conn transport.Conn, dst net.Addr, laddr, dest string, session uint64, rate float64, reg *obs.Registry, ring *trace.Ring) error {
 	sndr, err := sstp.NewSender(sstp.SenderConfig{
 		Session: session, SenderID: uint64(time.Now().UnixNano()),
 		Conn: conn, Dest: dst, TotalRate: rate,
 		Obs: reg, Trace: ring,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	dir := sdir.NewDirectory(sndr)
 	sndr.Start()
@@ -147,17 +142,18 @@ func runAnnouncer(conn transport.Conn, dst net.Addr, laddr, dest string, session
 		}
 	}()
 
-	waitForInterrupt()
+	<-ctx.Done()
+	return nil
 }
 
-func runBrowser(conn transport.Conn, dst net.Addr, laddr string, session uint64, reg *obs.Registry, ring *trace.Ring) {
+func runBrowser(ctx context.Context, conn transport.Conn, dst net.Addr, laddr string, session uint64, reg *obs.Registry, ring *trace.Ring) error {
 	browser, rcv, err := sdir.NewBrowser(sstp.ReceiverConfig{
 		Session: session, ReceiverID: uint64(os.Getpid()),
 		Conn: conn, FeedbackDest: dst,
 		Obs: reg, Trace: ring,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	browser.OnNew = func(s sdir.Session) {
 		fmt.Printf("%s NEW     %-20s %-6s %s\n", stamp(), s.Name, s.Tool, s.Description)
@@ -171,13 +167,8 @@ func runBrowser(conn transport.Conn, dst net.Addr, laddr string, session uint64,
 	rcv.Start()
 	defer rcv.Close()
 	log.Printf("sdird: browsing session directory %d on %s", session, laddr)
-	waitForInterrupt()
+	<-ctx.Done()
+	return nil
 }
 
 func stamp() string { return time.Now().Format("15:04:05") }
-
-func waitForInterrupt() {
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
-	<-sig
-}

@@ -16,20 +16,19 @@
 //
 // With -admin ADDR, an HTTP endpoint serves /metrics (the
 // sstp_gossip_* catalog), /stats.json, /trace, and /debug/pprof.
-// -quick runs an in-process 8-node churn smoke test and exits non-zero
-// on failure.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"net"
 	"os"
-	"os/signal"
 	"strings"
 	"time"
 
+	"softstate/cmd/internal/daemon"
 	"softstate/internal/gossip"
 	"softstate/internal/obs"
 	"softstate/internal/staleness"
@@ -53,51 +52,39 @@ func (f *kvFlag) Set(s string) error {
 	return nil
 }
 
-func main() {
-	laddr := flag.String("laddr", "127.0.0.1:8801", "local mesh endpoint (bare host:port or scheme://host:port)")
-	peers := flag.String("peers", "", "comma-separated peer addresses seeding the membership view")
-	transportName := flag.String("transport", "udp", "default wire transport for bare addresses: udp, tcp, or tls")
-	tlsCert := flag.String("tlscert", "", "TLS certificate PEM (tls links; empty generates self-signed)")
-	tlsKey := flag.String("tlskey", "", "TLS private key PEM")
-	tlsCA := flag.String("tlsca", "", "CA PEM: verify dialed peers and require client certs (mTLS)")
-	tlsName := flag.String("tlsname", "", "expected server name on dialed TLS peers")
-	session := flag.Uint64("session", 1, "session id")
-	nodeID := flag.Uint64("id", uint64(os.Getpid()), "node id (must be unique in the mesh)")
-	interval := flag.Duration("interval", 100*time.Millisecond, "anti-entropy round cadence (jittered ±25%)")
-	rate := flag.Float64("rate", 0, "outbound bandwidth cap in bits/s (0 = unlimited)")
-	suspect := flag.Int("suspect", 3, "missed exchanges before a peer is suspected")
-	evict := flag.Int("evict", 8, "missed exchanges before a peer is evicted")
-	tombTTL := flag.Duration("tombttl", 60*time.Second, "death-certificate retention (keep above record TTLs)")
-	maxPull := flag.Int("maxpull", 512, "max leaves pulled per round (spreads restart catch-up)")
+func main() { daemon.Main(run) }
+
+func run(ctx context.Context, args []string) error {
+	fs := flag.NewFlagSet("ssgossip", flag.ExitOnError)
+	laddr := fs.String("laddr", "127.0.0.1:8801", "local mesh endpoint (bare host:port or scheme://host:port)")
+	peers := fs.String("peers", "", "comma-separated peer addresses seeding the membership view")
+	var wire transport.Flags
+	wire.Register(fs)
+	session := fs.Uint64("session", 1, "session id")
+	nodeID := fs.Uint64("id", uint64(os.Getpid()), "node id (must be unique in the mesh)")
+	interval := fs.Duration("interval", 100*time.Millisecond, "anti-entropy round cadence (jittered ±25%)")
+	rate := fs.Float64("rate", 0, "outbound bandwidth cap in bits/s (0 = unlimited)")
+	suspect := fs.Int("suspect", 3, "missed exchanges before a peer is suspected")
+	evict := fs.Int("evict", 8, "missed exchanges before a peer is evicted")
+	tombTTL := fs.Duration("tombttl", 60*time.Second, "death-certificate retention (keep above record TTLs)")
+	maxPull := fs.Int("maxpull", 512, "max leaves pulled per round (spreads restart catch-up)")
 	var announce kvFlag
-	flag.Var(&announce, "announce", "key=value record to publish at startup (repeatable; comma-separable)")
-	announceTTL := flag.Duration("announcettl", 0, "lifetime of -announce records (0 = immortal)")
-	admin := flag.String("admin", "", "serve /metrics, /stats.json, /trace, /debug/pprof on this address")
-	statsEvery := flag.Duration("statsevery", 0, "log a one-line stats summary at this interval")
-	traceCap := flag.Int("tracecap", 4096, "protocol event ring capacity (0 disables)")
-	seed := flag.Int64("seed", 1, "peer-selection and jitter seed")
-	quick := flag.Bool("quick", false, "run the in-process gossip churn smoke test and exit")
-	flag.Parse()
+	fs.Var(&announce, "announce", "key=value record to publish at startup (repeatable; comma-separable)")
+	announceTTL := fs.Duration("announcettl", 0, "lifetime of -announce records (0 = immortal)")
+	admin := fs.String("admin", "", "serve /metrics, /stats.json, /trace, /debug/pprof on this address")
+	statsEvery := fs.Duration("statsevery", 0, "log a one-line stats summary at this interval")
+	traceCap := fs.Int("tracecap", 4096, "protocol event ring capacity (0 disables)")
+	seed := fs.Int64("seed", 1, "peer-selection and jitter seed")
+	_ = fs.Parse(args) // ExitOnError: a bad flag has already exited
 
-	if *quick {
-		if err := quickSmoke(); err != nil {
-			log.Fatalf("ssgossip -quick: %v", err)
-		}
-		fmt.Println("ssgossip -quick: ok")
-		return
-	}
 	if *peers == "" {
-		log.Fatal("ssgossip: -peers needs at least one address")
+		return fmt.Errorf("ssgossip: -peers needs at least one address")
 	}
-
-	topts, err := transport.TLSOptions(*tlsCert, *tlsKey, *tlsCA, *tlsName)
+	tr, conn, err := wire.Bind(*laddr)
 	if err != nil {
-		log.Fatal(err)
+		return fmt.Errorf("listen %s: %w", *laddr, err)
 	}
-	tr, conn, err := transport.Bind(*laddr, *transportName, topts)
-	if err != nil {
-		log.Fatalf("listen %s: %v", *laddr, err)
-	}
+	defer conn.Close()
 	var peerAddrs []net.Addr
 	for _, p := range strings.Split(*peers, ",") {
 		p = strings.TrimSpace(p)
@@ -106,7 +93,7 @@ func main() {
 		}
 		a, err := transport.Resolve(tr, p)
 		if err != nil {
-			log.Fatalf("resolve peer %s: %v", p, err)
+			return fmt.Errorf("resolve peer %s: %w", p, err)
 		}
 		peerAddrs = append(peerAddrs, a)
 	}
@@ -134,15 +121,15 @@ func main() {
 		Seed:            *seed,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for _, kv := range announce {
 		k, v, ok := strings.Cut(kv, "=")
 		if !ok {
-			log.Fatalf("ssgossip: -announce element %q is not key=value", kv)
+			return fmt.Errorf("ssgossip: -announce element %q is not key=value", kv)
 		}
 		if err := node.Publish(k, []byte(v), *announceTTL); err != nil {
-			log.Fatalf("announce %s: %v", k, err)
+			return fmt.Errorf("announce %s: %w", k, err)
 		}
 	}
 	node.Start()
@@ -156,7 +143,7 @@ func main() {
 			obs.Section{Name: "peers", Get: func() any { return node.Peers() }},
 			obs.Section{Name: "consistency", Get: func() any { return est.Snapshot() }})
 		if err != nil {
-			log.Fatalf("admin: %v", err)
+			return fmt.Errorf("admin: %w", err)
 		}
 		defer srv.Close()
 		log.Printf("ssgossip: admin endpoint on http://%s/", addr)
@@ -176,116 +163,6 @@ func main() {
 		}()
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
-	<-sig
-}
-
-// quickSmoke builds an 8-node mesh over a 2%-lossy in-process network,
-// publishes at one node, and checks the two mesh invariants: every
-// replica converges to the same digest, and a node killed mid-run
-// re-converges after restarting empty on the same address.
-func quickSmoke() error {
-	const (
-		nodes   = 8
-		records = 32
-	)
-	nw := transport.NewMemNetwork(42)
-	nw.SetDefaultLoss(0.02)
-	addr := func(i int) transport.MemAddr {
-		return transport.MemAddr(fmt.Sprintf("gossip/%d", i))
-	}
-	var peerAddrs []net.Addr
-	for i := 0; i < nodes; i++ {
-		peerAddrs = append(peerAddrs, addr(i))
-	}
-	mk := func(i int) (*gossip.Node, error) {
-		return gossip.New(gossip.Config{
-			Session: 7, NodeID: uint64(i + 1),
-			Conn:  nw.Endpoint(addr(i)),
-			Peers: peerAddrs,
-			// Fast rounds and a short failure detector keep the smoke
-			// under a second per phase.
-			Interval:     15 * time.Millisecond,
-			SuspectAfter: 2, EvictAfter: 4,
-			Seed: int64(100 + i),
-		})
-	}
-	mesh := make([]*gossip.Node, nodes)
-	for i := range mesh {
-		n, err := mk(i)
-		if err != nil {
-			return err
-		}
-		mesh[i] = n
-		defer n.Close()
-		n.Start()
-	}
-	for i := 0; i < records; i++ {
-		if err := mesh[0].Publish(fmt.Sprintf("smoke/%02d", i), []byte("v"), 0); err != nil {
-			return err
-		}
-	}
-	converged := func(members []*gossip.Node) func() bool {
-		return func() bool {
-			want := members[0].RootDigest()
-			for _, n := range members[1:] {
-				if n.RootDigest() != want || n.Len() != members[0].Len() {
-					return false
-				}
-			}
-			return members[0].Len() == records
-		}
-	}
-	if err := waitFor(15*time.Second, "mesh convergence", converged(mesh)); err != nil {
-		return err
-	}
-
-	// Kill node 7: close its loops and endpoint so the mesh sees pure
-	// silence, then wait for a survivor's failure detector to notice.
-	mesh[7].Close()
-	nw.Endpoint(addr(7)).Close()
-	survivors := mesh[:7]
-	if err := waitFor(15*time.Second, "eviction of the dead node", func() bool {
-		for _, n := range survivors {
-			if n.Stats().Evictions > 0 {
-				return true
-			}
-		}
-		return false
-	}); err != nil {
-		return err
-	}
-
-	// Restart empty on the same address: the node must pull the whole
-	// replica back from the mesh and the survivors must rejoin it.
-	restarted, err := mk(7)
-	if err != nil {
-		return err
-	}
-	defer restarted.Close()
-	restarted.Start()
-	mesh[7] = restarted
-	if err := waitFor(15*time.Second, "restarted node to re-converge", converged(mesh)); err != nil {
-		return err
-	}
-	return waitFor(15*time.Second, "a survivor to rejoin the restarted node", func() bool {
-		for _, n := range survivors {
-			if n.Stats().Rejoins > 0 {
-				return true
-			}
-		}
-		return false
-	})
-}
-
-func waitFor(d time.Duration, what string, cond func() bool) error {
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return nil
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	return fmt.Errorf("timed out waiting for %s", what)
+	<-ctx.Done()
+	return nil
 }

@@ -23,84 +23,70 @@
 //
 // With -admin ADDR, an HTTP endpoint serves /metrics,
 // /stats.json, /trace, and /debug/pprof covering both the relay_* and
-// sstp_* series. -quick runs an in-process depth-2 smoke test over a
-// lossy memconn network and exits non-zero on failure.
+// sstp_* series. SIGINT or SIGTERM stops the relay cleanly: every
+// downstream sender says Goodbye on the way out.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"os/signal"
 	"strings"
 	"time"
 
+	"softstate/cmd/internal/daemon"
 	"softstate/internal/obs"
 	"softstate/internal/relay"
-	"softstate/internal/sstp"
 	"softstate/internal/trace"
 	"softstate/internal/transport"
 )
 
-func main() {
-	laddr := flag.String("laddr", "127.0.0.1:8702", "local address of the upstream receiver (bare host:port or scheme://host:port)")
-	upstream := flag.String("upstream", "127.0.0.1:8701", "upstream feedback address (parent sender or its group)")
-	down := flag.String("down", "", "comma-separated downstream links, each LADDR=DEST (per-link scheme:// selects that link's transport)")
-	transportName := flag.String("transport", "udp", "default wire transport for bare addresses: udp, tcp, or tls")
-	tlsCert := flag.String("tlscert", "", "TLS certificate PEM (tls links; empty generates self-signed)")
-	tlsKey := flag.String("tlskey", "", "TLS private key PEM")
-	tlsCA := flag.String("tlsca", "", "CA PEM: verify dialed peers and require client certs (mTLS)")
-	tlsName := flag.String("tlsname", "", "expected server name on dialed TLS peers")
-	session := flag.Uint64("session", 1, "session id")
-	relayID := flag.Uint64("relayid", uint64(os.Getpid()), "relay id (downstream senders use relayid+1+i)")
-	rate := flag.Float64("rate", 128_000, "per-downstream-link bandwidth in bits/s")
-	minRate := flag.Float64("minrate", 0, "AIMD floor in bits/s (0 disables AIMD)")
-	maxRate := flag.Float64("maxrate", 0, "AIMD ceiling in bits/s")
-	ttl := flag.Duration("ttl", 30*time.Second, "receiver-side TTL announced downstream")
-	summaryEvery := flag.Duration("summaryevery", time.Second, "digest summary interval on downstream links")
-	nackWindow := flag.Duration("nackwindow", 100*time.Millisecond, "upstream NACK slotting window")
-	scope := flag.Uint("scope", 0, "force the downstream hop budget (0 derives upstream scope minus one)")
-	admin := flag.String("admin", "", "serve /metrics, /stats.json, /trace, /debug/pprof on this address")
-	statsEvery := flag.Duration("statsevery", 0, "log a one-line stats summary at this interval")
-	traceCap := flag.Int("tracecap", 4096, "protocol event ring capacity (0 disables)")
-	seed := flag.Int64("seed", 1, "repair-timer seed")
-	quick := flag.Bool("quick", false, "run the in-process relay smoke test and exit")
-	flag.Parse()
+func main() { daemon.Main(run) }
 
-	if *quick {
-		if err := quickSmoke(); err != nil {
-			log.Fatalf("ssrelay -quick: %v", err)
-		}
-		fmt.Println("ssrelay -quick: ok")
-		return
-	}
+func run(ctx context.Context, args []string) error {
+	fs := flag.NewFlagSet("ssrelay", flag.ExitOnError)
+	laddr := fs.String("laddr", "127.0.0.1:8702", "local address of the upstream receiver (bare host:port or scheme://host:port)")
+	upstream := fs.String("upstream", "127.0.0.1:8701", "upstream feedback address (parent sender or its group)")
+	down := fs.String("down", "", "comma-separated downstream links, each LADDR=DEST (per-link scheme:// selects that link's transport)")
+	var wire transport.Flags
+	wire.Register(fs)
+	session := fs.Uint64("session", 1, "session id")
+	relayID := fs.Uint64("relayid", uint64(os.Getpid()), "relay id (downstream senders use relayid+1+i)")
+	rate := fs.Float64("rate", 128_000, "per-downstream-link bandwidth in bits/s")
+	minRate := fs.Float64("minrate", 0, "AIMD floor in bits/s (0 disables AIMD)")
+	maxRate := fs.Float64("maxrate", 0, "AIMD ceiling in bits/s")
+	ttl := fs.Duration("ttl", 30*time.Second, "receiver-side TTL announced downstream")
+	summaryEvery := fs.Duration("summaryevery", time.Second, "digest summary interval on downstream links")
+	nackWindow := fs.Duration("nackwindow", 100*time.Millisecond, "upstream NACK slotting window")
+	scope := fs.Uint("scope", 0, "force the downstream hop budget (0 derives upstream scope minus one)")
+	admin := fs.String("admin", "", "serve /metrics, /stats.json, /trace, /debug/pprof on this address")
+	statsEvery := fs.Duration("statsevery", 0, "log a one-line stats summary at this interval")
+	traceCap := fs.Int("tracecap", 4096, "protocol event ring capacity (0 disables)")
+	seed := fs.Int64("seed", 1, "repair-timer seed")
+	_ = fs.Parse(args) // ExitOnError: a bad flag has already exited
+
 	if *scope > 255 {
-		log.Fatalf("-scope %d out of range [0,255]", *scope)
+		return fmt.Errorf("ssrelay: -scope %d out of range [0,255]", *scope)
 	}
-
-	topts, err := transport.TLSOptions(*tlsCert, *tlsKey, *tlsCA, *tlsName)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	links := strings.Split(*down, ",")
 	if *down == "" {
-		log.Fatal("ssrelay: -down needs at least one LADDR=DEST link")
+		return fmt.Errorf("ssrelay: -down needs at least one LADDR=DEST link")
 	}
 	var downs []relay.Downstream
-	for _, l := range links {
+	for _, l := range strings.Split(*down, ",") {
 		la, dest, ok := strings.Cut(strings.TrimSpace(l), "=")
 		if !ok {
-			log.Fatalf("ssrelay: -down element %q is not LADDR=DEST", l)
+			return fmt.Errorf("ssrelay: -down element %q is not LADDR=DEST", l)
 		}
-		tr, conn, err := transport.Bind(la, *transportName, topts)
+		tr, conn, err := wire.Bind(la)
 		if err != nil {
-			log.Fatalf("listen %s: %v", la, err)
+			return fmt.Errorf("listen %s: %w", la, err)
 		}
+		defer conn.Close()
 		destAddr, err := transport.Resolve(tr, dest)
 		if err != nil {
-			log.Fatalf("resolve %s: %v", dest, err)
+			return fmt.Errorf("resolve %s: %w", dest, err)
 		}
 		downs = append(downs, relay.Downstream{
 			Conn: conn, Dest: destAddr,
@@ -108,13 +94,14 @@ func main() {
 		})
 	}
 
-	upTr, upConn, err := transport.Bind(*laddr, *transportName, topts)
+	upTr, upConn, err := wire.Bind(*laddr)
 	if err != nil {
-		log.Fatalf("listen %s: %v", *laddr, err)
+		return fmt.Errorf("listen %s: %w", *laddr, err)
 	}
+	defer upConn.Close()
 	upAddr, err := transport.Resolve(upTr, *upstream)
 	if err != nil {
-		log.Fatalf("resolve upstream %s: %v", *upstream, err)
+		return fmt.Errorf("resolve upstream %s: %w", *upstream, err)
 	}
 
 	reg := obs.New("ssrelay")
@@ -137,7 +124,7 @@ func main() {
 		Seed:             *seed,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	r.Start()
 	defer r.Close()
@@ -152,7 +139,7 @@ func main() {
 		srv, addr, err := obs.ServeAdmin(*admin, reg, ring,
 			obs.Section{Name: "consistency", Get: func() any { return est.Snapshot() }})
 		if err != nil {
-			log.Fatalf("admin: %v", err)
+			return fmt.Errorf("admin: %w", err)
 		}
 		defer srv.Close()
 		log.Printf("ssrelay: admin endpoint on http://%s/", addr)
@@ -171,126 +158,6 @@ func main() {
 		}()
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
-	<-sig
-}
-
-// quickSmoke builds publisher → relay → 4 leaves over a 5%-lossy
-// in-process network and checks the two relay invariants: every leaf
-// digest converges to the publisher's, and the publisher's Goodbye
-// flushes the whole subtree. Loss is confined to the downstream hop,
-// so any leaf repair must be answered by the relay — a repair request
-// reaching the publisher fails the smoke.
-func quickSmoke() error {
-	const (
-		records = 25
-		fanout  = 4
-	)
-	nw := sstp.NewMemNetwork(42)
-	pc := nw.Endpoint("pub")
-	nw.Join("grp/root", "pub")
-	pub, err := sstp.NewSender(sstp.SenderConfig{
-		Session: 7, SenderID: 1, Conn: pc, Dest: sstp.MemAddr("grp/root"),
-		TotalRate: 1_000_000, SummaryInterval: 50 * time.Millisecond,
-		TTL: 60 * time.Second, Seed: 1,
-	})
-	if err != nil {
-		return err
-	}
-	defer pub.Close()
-
-	up := nw.Endpoint("relay/up")
-	nw.Join("grp/root", "relay/up")
-	dn := nw.Endpoint("relay/dn")
-	nw.Join("grp/sub", "relay/dn")
-	r, err := relay.New(relay.Config{
-		Session: 7, RelayID: 100,
-		UpstreamConn: up, UpstreamFeedback: sstp.MemAddr("grp/root"),
-		Downstreams: []relay.Downstream{{
-			Conn: dn, Dest: sstp.MemAddr("grp/sub"), Rate: 1_000_000,
-		}},
-		SummaryInterval: 50 * time.Millisecond,
-		NACKWindow:      30 * time.Millisecond,
-		Seed:            2,
-	})
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-
-	var leaves []*sstp.Receiver
-	for i := 0; i < fanout; i++ {
-		name := sstp.MemAddr(fmt.Sprintf("leaf/%d", i))
-		lc := nw.Endpoint(name)
-		nw.Join("grp/sub", name)
-		nw.SetLoss("relay/dn", name, 0.05)
-		leaf, err := sstp.NewReceiver(sstp.ReceiverConfig{
-			Session: 7, ReceiverID: uint64(1000 + i), Conn: lc,
-			FeedbackDest:   sstp.MemAddr("grp/sub"),
-			NACKWindow:     30 * time.Millisecond,
-			FlushOnGoodbye: true,
-			Seed:           int64(10 + i),
-		})
-		if err != nil {
-			return err
-		}
-		defer leaf.Close()
-		leaves = append(leaves, leaf)
-	}
-
-	pub.Start()
-	r.Start()
-	for _, l := range leaves {
-		l.Start()
-	}
-	for i := 0; i < records; i++ {
-		if err := pub.Publish(fmt.Sprintf("smoke/%d", i), []byte("v"), 0); err != nil {
-			return err
-		}
-	}
-
-	converged := func() bool {
-		want := pub.RootDigest()
-		if r.Len() != records || r.RootDigest() != want {
-			return false
-		}
-		for _, l := range leaves {
-			if l.Len() != records || l.RootDigest() != want {
-				return false
-			}
-		}
-		return true
-	}
-	if err := waitFor(15*time.Second, "tree convergence", converged); err != nil {
-		return err
-	}
-	if st := pub.Stats(); st.QueriesServed != 0 || st.NACKsReceived != 0 {
-		return fmt.Errorf("repair leaked upstream: publisher served %d queries, heard %d NACKs",
-			st.QueriesServed, st.NACKsReceived)
-	}
-
-	pub.Close() // the final Goodbye must flush every hop
-	return waitFor(15*time.Second, "goodbye flush", func() bool {
-		if r.Len() != 0 {
-			return false
-		}
-		for _, l := range leaves {
-			if l.Len() != 0 {
-				return false
-			}
-		}
-		return true
-	})
-}
-
-func waitFor(d time.Duration, what string, cond func() bool) error {
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return nil
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	return fmt.Errorf("timed out waiting for %s", what)
+	<-ctx.Done()
+	return nil
 }

@@ -12,41 +12,39 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"os/signal"
 	"time"
 
+	"softstate/cmd/internal/daemon"
 	"softstate/internal/sstp"
 	"softstate/internal/transport"
 )
 
-func main() {
-	laddr := flag.String("laddr", "127.0.0.1:8702", "local address (bare host:port or scheme://host:port)")
-	sender := flag.String("sender", "127.0.0.1:8701", "publisher address for feedback")
-	session := flag.Uint64("session", 1, "session id")
-	openLoop := flag.Bool("open-loop", false, "disable feedback (pure announce/listen)")
-	statsEvery := flag.Duration("stats", 10*time.Second, "stats print interval (0 disables)")
-	transportName := flag.String("transport", "udp", "wire transport for bare addresses: udp, tcp, or tls")
-	tlsCert := flag.String("tlscert", "", "TLS certificate PEM (tls transport; empty generates self-signed)")
-	tlsKey := flag.String("tlskey", "", "TLS private key PEM")
-	tlsCA := flag.String("tlsca", "", "CA PEM: verify dialed peers and require client certs (mTLS)")
-	tlsName := flag.String("tlsname", "", "expected server name on dialed TLS peers")
-	flag.Parse()
+func main() { daemon.Main(run) }
 
-	topts, err := transport.TLSOptions(*tlsCert, *tlsKey, *tlsCA, *tlsName)
+func run(ctx context.Context, args []string) error {
+	fs := flag.NewFlagSet("sstpcat", flag.ExitOnError)
+	laddr := fs.String("laddr", "127.0.0.1:8702", "local address (bare host:port or scheme://host:port)")
+	sender := fs.String("sender", "127.0.0.1:8701", "publisher address for feedback")
+	session := fs.Uint64("session", 1, "session id")
+	openLoop := fs.Bool("open-loop", false, "disable feedback (pure announce/listen)")
+	statsEvery := fs.Duration("stats", 10*time.Second, "stats print interval (0 disables)")
+	var wire transport.Flags
+	wire.Register(fs)
+	_ = fs.Parse(args) // ExitOnError: a bad flag has already exited
+
+	tr, conn, err := wire.Bind(*laddr)
 	if err != nil {
-		log.Fatal(err)
+		return fmt.Errorf("listen: %w", err)
 	}
-	tr, conn, err := transport.Bind(*laddr, *transportName, topts)
-	if err != nil {
-		log.Fatalf("listen: %v", err)
-	}
+	defer conn.Close()
 	senderAddr, err := transport.Resolve(tr, *sender)
 	if err != nil {
-		log.Fatalf("resolve sender: %v", err)
+		return fmt.Errorf("resolve sender: %w", err)
 	}
 	r, err := sstp.NewReceiver(sstp.ReceiverConfig{
 		Session:         *session,
@@ -62,7 +60,7 @@ func main() {
 		},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	r.Start()
 	defer r.Close()
@@ -78,9 +76,8 @@ func main() {
 		}()
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
-	<-sig
+	<-ctx.Done()
+	return nil
 }
 
 func stamp() string { return time.Now().Format("15:04:05.000") }

@@ -26,22 +26,22 @@
 // sstp_* catalog. With -admin ADDR, an HTTP endpoint serves
 // /metrics (Prometheus), /stats.json, /trace (JSONL event ring), and
 // /debug/pprof. -statsevery D logs a one-line summary every D.
-// -obssmoke runs a self-contained observability check (in-process
-// sender + receiver + admin endpoint scraped over HTTP) and exits
-// non-zero if the consistency surface is missing or empty.
+// SIGINT or SIGTERM stops the daemon cleanly: every session says
+// Goodbye on the way out.
 package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
 	"time"
 
+	"softstate/cmd/internal/daemon"
 	"softstate/internal/fabric"
 	"softstate/internal/obs"
 	"softstate/internal/profile"
@@ -52,36 +52,36 @@ import (
 	"softstate/internal/xrand"
 )
 
-func main() {
-	laddr := flag.String("laddr", "127.0.0.1:8701", "local address (bare host:port or scheme://host:port)")
-	dest := flag.String("dest", "127.0.0.1:8702", "destination address (receiver or multicast group)")
-	transportName := flag.String("transport", "udp", "wire transport for bare addresses: udp, tcp, or tls")
-	tlsCert := flag.String("tlscert", "", "TLS certificate PEM (tls transport; empty generates self-signed)")
-	tlsKey := flag.String("tlskey", "", "TLS private key PEM")
-	tlsCA := flag.String("tlsca", "", "CA PEM: verify dialed peers and require client certs (mTLS)")
-	tlsName := flag.String("tlsname", "", "expected server name on dialed TLS peers")
-	session := flag.Uint64("session", 1, "session id")
-	rate := flag.Float64("rate", 128_000, "session bandwidth in bits/s")
-	ttl := flag.Duration("ttl", 30*time.Second, "announced receiver-side TTL")
-	demo := flag.String("demo", "", "demo workload: ticker, routes, or sdr")
-	seed := flag.Int64("seed", 1, "workload seed")
-	profPath := flag.String("profile", "", "consistency profile JSON (from ssprofile) for adaptive allocation")
-	target := flag.Float64("target", 0.9, "consistency target when -profile is set")
-	admin := flag.String("admin", "", "serve /metrics, /stats.json, /trace, /debug/pprof on this address")
-	statsEvery := flag.Duration("statsevery", 0, "log a one-line stats summary at this interval")
-	traceCap := flag.Int("tracecap", 4096, "protocol event ring capacity (0 disables)")
-	smoke := flag.Bool("obssmoke", false, "run the self-contained observability smoke test and exit")
-	sessions := flag.Int("sessions", 1, "multiplex this many tenant sessions (ids session..session+N-1) over the one UDP socket")
-	tenantWeights := flag.String("tenant-weights", "1", "comma-separated fabric weights, cycled across tenants")
-	linkRate := flag.Float64("link-rate", 0, "shared link rate in bits/s for fabric mode (default sessions x -rate)")
-	flag.Parse()
+func main() { daemon.Main(run) }
 
-	if *smoke {
-		if err := obsSmoke(); err != nil {
-			log.Fatalf("sstpd -obssmoke: %v", err)
+func run(ctx context.Context, args []string) error {
+	fs := flag.NewFlagSet("sstpd", flag.ExitOnError)
+	laddr := fs.String("laddr", "127.0.0.1:8701", "local address (bare host:port or scheme://host:port)")
+	dest := fs.String("dest", "127.0.0.1:8702", "destination address (receiver or multicast group)")
+	var wire transport.Flags
+	wire.Register(fs)
+	session := fs.Uint64("session", 1, "session id")
+	rate := fs.Float64("rate", 128_000, "session bandwidth in bits/s")
+	ttl := fs.Duration("ttl", 30*time.Second, "announced receiver-side TTL")
+	demo := fs.String("demo", "", "demo workload: ticker, routes, or sdr")
+	seed := fs.Int64("seed", 1, "workload seed")
+	profPath := fs.String("profile", "", "consistency profile JSON (from ssprofile) for adaptive allocation")
+	target := fs.Float64("target", 0.9, "consistency target when -profile is set")
+	admin := fs.String("admin", "", "serve /metrics, /stats.json, /trace, /debug/pprof on this address")
+	statsEvery := fs.Duration("statsevery", 0, "log a one-line stats summary at this interval")
+	traceCap := fs.Int("tracecap", 4096, "protocol event ring capacity (0 disables)")
+	sessions := fs.Int("sessions", 1, "multiplex this many tenant sessions (ids session..session+N-1) over the one UDP socket")
+	tenantWeights := fs.String("tenant-weights", "1", "comma-separated fabric weights, cycled across tenants")
+	linkRate := fs.Float64("link-rate", 0, "shared link rate in bits/s for fabric mode (default sessions x -rate)")
+	_ = fs.Parse(args) // ExitOnError: a bad flag has already exited
+
+	var gen workload.Generator
+	var initial []workload.Event
+	if *demo != "" {
+		var err error
+		if gen, initial, err = newDemo(*demo, *seed); err != nil {
+			return err
 		}
-		fmt.Println("sstpd -obssmoke: ok")
-		return
 	}
 
 	reg := obs.New("sstpd")
@@ -94,28 +94,25 @@ func main() {
 	if *profPath != "" {
 		f, err := os.Open(*profPath)
 		if err != nil {
-			log.Fatalf("profile: %v", err)
+			return fmt.Errorf("profile: %w", err)
 		}
 		grid, err := profile.ReadGridJSON(f)
 		f.Close()
 		if err != nil {
-			log.Fatalf("profile: %v", err)
+			return fmt.Errorf("profile: %w", err)
 		}
 		alloc = &profile.Allocator{Consistency: grid, Target: *target}
 		log.Printf("sstpd: profile-driven allocation on (target %.0f%%)", 100**target)
 	}
 
-	topts, err := transport.TLSOptions(*tlsCert, *tlsKey, *tlsCA, *tlsName)
+	tr, conn, err := wire.Bind(*laddr)
 	if err != nil {
-		log.Fatal(err)
+		return fmt.Errorf("listen: %w", err)
 	}
-	tr, conn, err := transport.Bind(*laddr, *transportName, topts)
-	if err != nil {
-		log.Fatalf("listen: %v", err)
-	}
+	defer conn.Close()
 	destAddr, err := transport.Resolve(tr, *dest)
 	if err != nil {
-		log.Fatalf("resolve dest: %v", err)
+		return fmt.Errorf("resolve dest: %w", err)
 	}
 	mkConfig := func(id uint64) sstp.SenderConfig {
 		return sstp.SenderConfig{
@@ -143,7 +140,7 @@ func main() {
 		// /stats.json shows both.
 		weights, err := fabric.ParseWeights(*tenantWeights, *sessions)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		lr := *linkRate
 		if lr <= 0 {
@@ -151,14 +148,14 @@ func main() {
 		}
 		f, err := fabric.New(fabric.Config{Conn: conn, LinkRate: lr, Obs: reg})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		for i := 0; i < *sessions; i++ {
 			cfg := mkConfig(*session + uint64(i))
 			cfg.Conn = nil // the fabric wires each tenant to its demux port
 			ts, err := f.AddSender(cfg, weights[i])
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			if i == 0 {
 				s = ts
@@ -169,10 +166,9 @@ func main() {
 		log.Printf("sstpd: fabric of %d sessions (%d..%d) from %s to %s, link %.0f bps, weights %s",
 			*sessions, *session, *session+uint64(*sessions-1), *laddr, *dest, lr, *tenantWeights)
 	} else {
-		var err error
 		s, err = sstp.NewSender(mkConfig(*session))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		s.Start()
 		defer s.Close()
@@ -182,7 +178,7 @@ func main() {
 	if *admin != "" {
 		srv, addr, err := obs.ServeAdmin(*admin, reg, ring)
 		if err != nil {
-			log.Fatalf("admin: %v", err)
+			return fmt.Errorf("admin: %w", err)
 		}
 		defer srv.Close()
 		log.Printf("sstpd: admin endpoint on http://%s/", addr)
@@ -200,22 +196,18 @@ func main() {
 		}()
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
-
-	if *demo != "" {
-		go runDemo(s, *demo, *seed)
-		<-sig
-		return
+	if gen != nil {
+		go runDemo(s, gen, initial)
+	} else {
+		go func() {
+			sc := bufio.NewScanner(os.Stdin)
+			for sc.Scan() {
+				handleLine(s, reg, sc.Text())
+			}
+		}()
 	}
-
-	go func() {
-		sc := bufio.NewScanner(os.Stdin)
-		for sc.Scan() {
-			handleLine(s, reg, sc.Text())
-		}
-	}()
-	<-sig
+	<-ctx.Done()
+	return nil
 }
 
 func handleLine(s *sstp.Sender, reg *obs.Registry, line string) {
@@ -253,24 +245,28 @@ func handleLine(s *sstp.Sender, reg *obs.Registry, line string) {
 	}
 }
 
-// runDemo replays a workload generator in real time.
-func runDemo(s *sstp.Sender, kind string, seed int64) {
+// newDemo builds the named demo workload: its generator plus the
+// events to apply before the replay starts.
+func newDemo(kind string, seed int64) (workload.Generator, []workload.Event, error) {
 	rnd := xrand.New(seed)
-	var gen workload.Generator
 	const horizon = 24 * 3600
 	switch kind {
 	case "ticker":
-		gen = workload.NewStockTicker(50, 5, horizon, rnd)
+		return workload.NewStockTicker(50, 5, horizon, rnd), nil, nil
 	case "routes":
 		rt := workload.NewRoutingTable(64, 1, 0.1, horizon, rnd)
-		for _, ev := range rt.InitialEvents() {
-			apply(s, ev)
-		}
-		gen = rt
+		return rt, rt.InitialEvents(), nil
 	case "sdr":
-		gen = workload.NewSessionDirectory(0.2, 300, 0.01, horizon, rnd)
+		return workload.NewSessionDirectory(0.2, 300, 0.01, horizon, rnd), nil, nil
 	default:
-		log.Fatalf("unknown demo %q (want ticker, routes, or sdr)", kind)
+		return nil, nil, fmt.Errorf("unknown demo %q (want ticker, routes, or sdr)", kind)
+	}
+}
+
+// runDemo replays a workload generator in real time.
+func runDemo(s *sstp.Sender, gen workload.Generator, initial []workload.Event) {
+	for _, ev := range initial {
+		apply(s, ev)
 	}
 	start := time.Now()
 	for {

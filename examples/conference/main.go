@@ -22,15 +22,16 @@ import (
 	"time"
 
 	"softstate/internal/sstp"
+	"softstate/internal/transport"
 )
 
 func main() {
-	nw := sstp.NewMemNetwork(17)
+	nw := transport.NewMemNetwork(17)
 	nw.SetLoss("mixer", "member", 0.15)
 
 	mixer, err := sstp.NewSender(sstp.SenderConfig{
 		Session: 5004, SenderID: 1,
-		Conn: nw.Endpoint("mixer"), Dest: sstp.MemAddr("member"),
+		Conn: nw.Endpoint("mixer"), Dest: transport.MemAddr("member"),
 		TotalRate:       128_000,
 		SummaryInterval: 150 * time.Millisecond,
 		TTL:             10 * time.Second, // must exceed the slowest refresh lap
@@ -47,7 +48,7 @@ func main() {
 
 	member, err := sstp.NewReceiver(sstp.ReceiverConfig{
 		Session: 5004, ReceiverID: 2,
-		Conn: nw.Endpoint("member"), FeedbackDest: sstp.MemAddr("mixer"),
+		Conn: nw.Endpoint("member"), FeedbackDest: transport.MemAddr("mixer"),
 		OnExpire: func(key string) {
 			fmt.Printf("  timed out: %s\n", key)
 		},

@@ -13,18 +13,19 @@ import (
 	"time"
 
 	"softstate/internal/sstp"
+	"softstate/internal/transport"
 )
 
 func main() {
 	// An in-process datagram network with 20% loss from publisher to
 	// subscriber. Swap MemNetwork endpoints for net.ListenPacket UDP
 	// sockets and this program runs across real machines unchanged.
-	nw := sstp.NewMemNetwork(42)
+	nw := transport.NewMemNetwork(42)
 	nw.SetLoss("pub", "sub", 0.20)
 
 	pub, err := sstp.NewSender(sstp.SenderConfig{
 		Session: 1, SenderID: 100,
-		Conn: nw.Endpoint("pub"), Dest: sstp.MemAddr("sub"),
+		Conn: nw.Endpoint("pub"), Dest: transport.MemAddr("sub"),
 		TotalRate:       64_000, // 64 kbps session
 		SummaryInterval: 100 * time.Millisecond,
 		TTL:             10 * time.Second,
@@ -36,7 +37,7 @@ func main() {
 
 	sub, err := sstp.NewReceiver(sstp.ReceiverConfig{
 		Session: 1, ReceiverID: 200,
-		Conn: nw.Endpoint("sub"), FeedbackDest: sstp.MemAddr("pub"),
+		Conn: nw.Endpoint("sub"), FeedbackDest: transport.MemAddr("pub"),
 		OnUpdate: func(key string, value []byte, version uint64, _ float64) {
 			fmt.Printf("  received %-16s = %s\n", key, value)
 		},

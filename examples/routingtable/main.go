@@ -17,12 +17,13 @@ import (
 	"time"
 
 	"softstate/internal/sstp"
+	"softstate/internal/transport"
 	"softstate/internal/workload"
 	"softstate/internal/xrand"
 )
 
 func main() {
-	nw := sstp.NewMemNetwork(23)
+	nw := transport.NewMemNetwork(23)
 	nw.SetLoss("routerA", "routerB", 0.05)
 
 	var mu sync.Mutex
@@ -30,7 +31,7 @@ func main() {
 
 	neighbor, err := sstp.NewReceiver(sstp.ReceiverConfig{
 		Session: 520, ReceiverID: 2, // RIP's port
-		Conn: nw.Endpoint("routerB"), FeedbackDest: sstp.MemAddr("routerA"),
+		Conn: nw.Endpoint("routerB"), FeedbackDest: transport.MemAddr("routerA"),
 		OnUpdate: func(key string, value []byte, version uint64, _ float64) {
 			mu.Lock()
 			installed[key] = string(value)
@@ -54,7 +55,7 @@ func main() {
 	runRouter := func(label string, changes int) *sstp.Sender {
 		router, err := sstp.NewSender(sstp.SenderConfig{
 			Session: 520, SenderID: 1,
-			Conn: nw.Endpoint("routerA"), Dest: sstp.MemAddr("routerB"),
+			Conn: nw.Endpoint("routerA"), Dest: transport.MemAddr("routerB"),
 			TotalRate:       64_000,
 			SummaryInterval: 100 * time.Millisecond,
 			TTL:             2 * time.Second, // routes expire 2 s after refreshes stop

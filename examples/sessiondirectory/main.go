@@ -14,13 +14,14 @@ import (
 	"time"
 
 	"softstate/internal/sstp"
+	"softstate/internal/transport"
 	"softstate/internal/workload"
 	"softstate/internal/xrand"
 )
 
 func main() {
-	nw := sstp.NewMemNetwork(7)
-	group := sstp.MemAddr("224.2.127.254") // the real sdr group, in spirit
+	nw := transport.NewMemNetwork(7)
+	group := transport.MemAddr("224.2.127.254") // the real sdr group, in spirit
 	nw.Join(group, "announcer")
 	nw.SetDefaultLoss(0.10)
 
@@ -39,7 +40,7 @@ func main() {
 
 	var subs []*sstp.Receiver
 	for i := 0; i < 3; i++ {
-		name := sstp.MemAddr(fmt.Sprintf("host%d", i))
+		name := transport.MemAddr(fmt.Sprintf("host%d", i))
 		nw.Join(group, name)
 		r, err := sstp.NewReceiver(sstp.ReceiverConfig{
 			Session: 9875, ReceiverID: uint64(10 + i),

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"softstate/internal/sstp"
+	"softstate/internal/transport"
 	"softstate/internal/workload"
 	"softstate/internal/xrand"
 )
@@ -41,13 +42,13 @@ func main() {
 // slow cold cycle re-announces them) and once more after a 2 s settle
 // (where announce/listen redundancy has caught up for both).
 func runFeed(feedback bool) (during, settled float64) {
-	nw := sstp.NewMemNetwork(11)
+	nw := transport.NewMemNetwork(11)
 	nw.SetLoss("feed", "desk", 0.50)
 	nw.SetLoss("desk", "feed", 0.05)
 
 	pub, err := sstp.NewSender(sstp.SenderConfig{
 		Session: 2, SenderID: 1,
-		Conn: nw.Endpoint("feed"), Dest: sstp.MemAddr("desk"),
+		Conn: nw.Endpoint("feed"), Dest: transport.MemAddr("desk"),
 		TotalRate:       20_000,
 		HotFraction:     0.95, // cold cycle is slow: repair must come from NACKs
 		SummaryInterval: 100 * time.Millisecond,
@@ -59,7 +60,7 @@ func runFeed(feedback bool) (during, settled float64) {
 	defer pub.Close()
 	sub, err := sstp.NewReceiver(sstp.ReceiverConfig{
 		Session: 2, ReceiverID: 2,
-		Conn: nw.Endpoint("desk"), FeedbackDest: sstp.MemAddr("feed"),
+		Conn: nw.Endpoint("desk"), FeedbackDest: transport.MemAddr("feed"),
 		DisableFeedback: !feedback,
 		NACKWindow:      50 * time.Millisecond,
 	})

@@ -90,8 +90,8 @@ func (c Config) withDefaults() (Config, error) {
 }
 
 // ParseWeights expands a comma-separated weight list cyclically over
-// n tenants: "1,1,4" over 5 tenants gives 1, 1, 4, 1, 1 — the CLI
-// syntax shared by ssload and sstpd.
+// n tenants: "1,1,4" over 5 tenants gives 1, 1, 4, 1, 1 — sstpd's
+// -tenant-weights syntax.
 func ParseWeights(spec string, n int) ([]float64, error) {
 	parts := strings.Split(spec, ",")
 	base := make([]float64, 0, len(parts))

@@ -14,7 +14,7 @@ import (
 
 // captureDatagrams drains raw datagrams from a MemConn until n have
 // arrived or the line stays quiet for the grace period.
-func captureDatagrams(t *testing.T, c *sstp.MemConn, n int, grace time.Duration) [][]byte {
+func captureDatagrams(t *testing.T, c *transport.MemConn, n int, grace time.Duration) [][]byte {
 	t.Helper()
 	var got [][]byte
 	buf := make([]byte, 4096)
@@ -29,7 +29,7 @@ func captureDatagrams(t *testing.T, c *sstp.MemConn, n int, grace time.Duration)
 	return got
 }
 
-func pinSenderConfig(session uint64, dest sstp.MemAddr, coalesce int) sstp.SenderConfig {
+func pinSenderConfig(session uint64, dest transport.MemAddr, coalesce int) sstp.SenderConfig {
 	return sstp.SenderConfig{
 		Session: session, SenderID: 1,
 		Dest:            dest,
@@ -61,7 +61,7 @@ func TestSingleTenantWireIdentical(t *testing.T) {
 	const records = 12
 	for _, coalesce := range []int{1, 4} {
 		run := func(viaFabric bool) [][]byte {
-			nw := sstp.NewMemNetwork(7)
+			nw := transport.NewMemNetwork(7)
 			src := nw.Endpoint("src")
 			dst := nw.Endpoint("dst")
 			cfg := pinSenderConfig(9, "dst", coalesce)
@@ -115,7 +115,7 @@ func TestSingleTenantWireIdentical(t *testing.T) {
 // shared socket, per-session ports, drop accounting for foreign and
 // unknown traffic.
 func TestDemuxRoutesBySession(t *testing.T) {
-	nw := sstp.NewMemNetwork(3)
+	nw := transport.NewMemNetwork(3)
 	shared := nw.Endpoint("shared")
 	peer := nw.Endpoint("peer")
 	d := NewDemux(shared, nil)
@@ -128,17 +128,17 @@ func TestDemuxRoutesBySession(t *testing.T) {
 		return protocol.Encode(hdr, &protocol.Heartbeat{})
 	}
 	for seq := uint32(0); seq < 3; seq++ {
-		if _, err := peer.WriteTo(mk(1, seq), sstp.MemAddr("shared")); err != nil {
+		if _, err := peer.WriteTo(mk(1, seq), transport.MemAddr("shared")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := peer.WriteTo(mk(2, 0), sstp.MemAddr("shared")); err != nil {
+	if _, err := peer.WriteTo(mk(2, 0), transport.MemAddr("shared")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := peer.WriteTo(mk(99, 0), sstp.MemAddr("shared")); err != nil {
+	if _, err := peer.WriteTo(mk(99, 0), transport.MemAddr("shared")); err != nil {
 		t.Fatal(err) // no port for session 99
 	}
-	if _, err := peer.WriteTo([]byte("not sstp at all"), sstp.MemAddr("shared")); err != nil {
+	if _, err := peer.WriteTo([]byte("not sstp at all"), transport.MemAddr("shared")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -192,7 +192,7 @@ func TestDemuxRoutesBySession(t *testing.T) {
 // the shared send loop, feedback demuxes back per session, repair
 // still works.
 func TestFabricMultiTenantConvergence(t *testing.T) {
-	nw := sstp.NewMemNetwork(11)
+	nw := transport.NewMemNetwork(11)
 	shared := nw.Endpoint("fab")
 	reg := obs.New("fabric-test")
 	f, err := New(Config{Conn: shared, LinkRate: 4_000_000, Obs: reg})
@@ -204,7 +204,7 @@ func TestFabricMultiTenantConvergence(t *testing.T) {
 	receivers := make([]*sstp.Receiver, tenants)
 	for i := 0; i < tenants; i++ {
 		session := uint64(100 + i)
-		rname := sstp.MemAddr(fmt.Sprintf("r%d", i))
+		rname := transport.MemAddr(fmt.Sprintf("r%d", i))
 		rconn := nw.Endpoint(rname)
 		nw.SetLoss("fab", rname, 0.05)
 		s, err := f.AddSender(sstp.SenderConfig{
@@ -221,7 +221,7 @@ func TestFabricMultiTenantConvergence(t *testing.T) {
 		senders[i] = s
 		r, err := sstp.NewReceiver(sstp.ReceiverConfig{
 			Session: session, ReceiverID: 2,
-			Conn: rconn, FeedbackDest: sstp.MemAddr("fab"),
+			Conn: rconn, FeedbackDest: transport.MemAddr("fab"),
 			ReportInterval: 100 * time.Millisecond,
 			NACKWindow:     20 * time.Millisecond,
 			Seed:           int64(i + 100),
@@ -393,7 +393,7 @@ func TestFabricOverTCPStream(t *testing.T) {
 
 // TestFabricAddSenderValidation covers registration edge cases.
 func TestFabricAddSenderValidation(t *testing.T) {
-	nw := sstp.NewMemNetwork(1)
+	nw := transport.NewMemNetwork(1)
 	f, err := New(Config{Conn: nw.Endpoint("fab")})
 	if err != nil {
 		t.Fatal(err)
@@ -406,12 +406,12 @@ func TestFabricAddSenderValidation(t *testing.T) {
 		t.Fatal("tenant without Dest accepted")
 	}
 	if _, err := f.AddSender(sstp.SenderConfig{
-		Session: 1, SenderID: 1, Dest: sstp.MemAddr("r"), TotalRate: 1000,
+		Session: 1, SenderID: 1, Dest: transport.MemAddr("r"), TotalRate: 1000,
 	}, 0); err == nil {
 		t.Fatal("tenant with zero weight accepted")
 	}
 	if _, err := f.AddSender(sstp.SenderConfig{
-		Session: 1, SenderID: 1, Dest: sstp.MemAddr("r"), TotalRate: 1000,
+		Session: 1, SenderID: 1, Dest: transport.MemAddr("r"), TotalRate: 1000,
 	}, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +420,7 @@ func TestFabricAddSenderValidation(t *testing.T) {
 	}
 	f.Start()
 	if _, err := f.AddSender(sstp.SenderConfig{
-		Session: 2, SenderID: 1, Dest: sstp.MemAddr("r"), TotalRate: 1000,
+		Session: 2, SenderID: 1, Dest: transport.MemAddr("r"), TotalRate: 1000,
 	}, 1); err == nil {
 		t.Fatal("AddSender after Start accepted")
 	}

@@ -38,8 +38,8 @@
 // fraction u(t) of them stale, one round leaves a node stale only if
 // its own exchange hit a stale peer and no fresh node picked it, so
 // E[u(t+1)] ≈ u(t)·u(t)·e^(−(1−u(t))) — super-exponential once spread
-// takes hold. SpreadRounds evaluates the recurrence; the ssload
-// head-to-head experiment validates measured rounds against it.
+// takes hold. SpreadRounds evaluates the recurrence;
+// TestSpreadWithinAnalyticBound validates measured rounds against it.
 package gossip
 
 import (
@@ -1015,8 +1015,8 @@ func (n *Node) doRound() {
 // 0.99). Per round, a stale node stays stale only if its own exchange
 // hit a stale peer (probability ≈ (u−1)/(n−1)) and no informed node's
 // exchange hit it (probability (1−1/(n−1))^i) — the mean-field model
-// of "A Modeling Framework for Gossip-based Information Spread". The
-// ssload head-to-head experiment holds the measured mesh to within 2×
+// of "A Modeling Framework for Gossip-based Information Spread".
+// TestSpreadWithinAnalyticBound holds the measured mesh to within 2×
 // of this curve.
 func SpreadRounds(nodes int, target float64) int {
 	if nodes <= 1 {

@@ -1,8 +1,10 @@
 package gossip
 
 import (
+	"bytes"
 	"fmt"
 	"net"
+	"sort"
 	"testing"
 	"time"
 
@@ -94,6 +96,47 @@ func TestSpreadRoundsSanity(t *testing.T) {
 	// few extra rounds.
 	if r256 > r16+8 {
 		t.Fatalf("SpreadRounds(256) = %d, way beyond log-growth from %d", r256, r16)
+	}
+}
+
+// TestSpreadWithinAnalyticBound holds the live mesh to the model it
+// claims to follow: a batch published at one node of a 16-node,
+// 2%-lossy mesh must reach every replica within twice the rounds the
+// push-pull recurrence (Bakhshi et al., evaluated by SpreadRounds)
+// predicts for 99% coverage, counting each node's own anti-entropy
+// rounds from the publish to mesh-wide digest agreement.
+func TestSpreadWithinAnalyticBound(t *testing.T) {
+	const n, records = 16, 64
+	nw := transport.NewMemNetwork(1)
+	nw.SetDefaultLoss(0.02)
+	interval := 40 * time.Millisecond
+	nodes := buildMesh(t, nw, n, Config{Session: 70, Interval: interval})
+	defer closeAll(nodes)
+	startAll(nodes)
+	// Let the empty mesh settle into agreement so the measured window
+	// holds only the spread itself.
+	time.Sleep(10 * interval)
+
+	before := make([]int, n)
+	for i, node := range nodes {
+		before[i] = node.Stats().Rounds
+	}
+	for i := 0; i < records; i++ {
+		if err := nodes[0].Publish(fmt.Sprintf("spread/%02d/%d", i%32, i), []byte("v"), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := nodes[0].RootDigest()
+	waitFor(t, 15*time.Second, "mesh convergence", func() bool { return converged(nodes, want) })
+	var rounds float64
+	for i, node := range nodes {
+		rounds += float64(node.Stats().Rounds - before[i])
+	}
+	rounds /= n
+	analytic := SpreadRounds(n, 0.99)
+	t.Logf("spread took %.1f rounds a node; analytic 99%% = %d", rounds, analytic)
+	if bound := 2 * float64(analytic); rounds > bound {
+		t.Errorf("spread took %.1f rounds a node, over the %.0f that 2x the analytic %d allows", rounds, bound, analytic)
 	}
 }
 
@@ -230,8 +273,10 @@ func TestMembershipEvictRejoin(t *testing.T) {
 
 // TestChurnKillRestart kills a replica mid-run, keeps publishing, then
 // restarts it empty on the same address: the restarted node must
-// re-converge by pulling the whole replica from the mesh, and the mesh
-// must have evicted and then rejoined it.
+// re-converge by pulling the whole replica from the mesh, the mesh must
+// have evicted and then rejoined it, and — the restart's pulls being
+// budgeted per round and spread by the shuffled peer cycle — no
+// survivor may serve more than twice the median's repair bytes.
 func TestChurnKillRestart(t *testing.T) {
 	nw := transport.NewMemNetwork(4)
 	nodes := buildMesh(t, nw, 6, Config{
@@ -241,8 +286,11 @@ func TestChurnKillRestart(t *testing.T) {
 		EvictAfter:   4,
 	})
 	defer closeAll(nodes)
+	// Values big enough that serving the replica outweighs a survivor's
+	// background round traffic in the repair-byte comparison below.
+	valueA, valueB := bytes.Repeat([]byte("a"), 256), bytes.Repeat([]byte("b"), 256)
 	for i := 0; i < 20; i++ {
-		nodes[0].Publish(fmt.Sprintf("churn/%02d", i), []byte("a"), 0)
+		nodes[0].Publish(fmt.Sprintf("churn/%02d", i), valueA, 0)
 	}
 	startAll(nodes)
 	waitFor(t, 15*time.Second, "initial convergence", func() bool {
@@ -260,7 +308,7 @@ func TestChurnKillRestart(t *testing.T) {
 
 	// The mesh keeps accepting writes while the node is down.
 	for i := 20; i < 35; i++ {
-		nodes[0].Publish(fmt.Sprintf("churn/%02d", i), []byte("b"), 0)
+		nodes[0].Publish(fmt.Sprintf("churn/%02d", i), valueB, 0)
 	}
 	waitFor(t, 15*time.Second, "survivor convergence", func() bool {
 		return converged(live, nodes[0].RootDigest())
@@ -275,20 +323,26 @@ func TestChurnKillRestart(t *testing.T) {
 		return false
 	})
 
-	// Restart empty on the same address (fresh endpoint, same ID).
+	// Restart empty on the same address (fresh endpoint, same ID), with
+	// a catch-up budget that takes several rounds to pull the replica.
 	addrs := make([]net.Addr, 6)
 	for i := range addrs {
 		addrs[i] = meshAddr(i)
 	}
+	sentBefore := make([]int64, len(live))
+	for i, n := range live {
+		sentBefore[i] = n.Stats().BytesSent
+	}
 	restarted, err := New(Config{
-		Session:      74,
-		NodeID:       6,
-		Conn:         nw.Endpoint(meshAddr(5)),
-		Peers:        addrs,
-		Interval:     15 * time.Millisecond,
-		SuspectAfter: 2,
-		EvictAfter:   4,
-		Seed:         4242,
+		Session:         74,
+		NodeID:          6,
+		Conn:            nw.Endpoint(meshAddr(5)),
+		Peers:           addrs,
+		Interval:        15 * time.Millisecond,
+		SuspectAfter:    2,
+		EvictAfter:      4,
+		MaxPullPerRound: 4,
+		Seed:            4242,
 	})
 	if err != nil {
 		t.Fatalf("restart: %v", err)
@@ -300,6 +354,14 @@ func TestChurnKillRestart(t *testing.T) {
 	})
 	if got := restarted.Len(); got != 35 {
 		t.Fatalf("restarted replica has %d records, want 35", got)
+	}
+	repair := make([]int64, len(live))
+	for i, n := range live {
+		repair[i] = n.Stats().BytesSent - sentBefore[i]
+	}
+	sort.Slice(repair, func(a, b int) bool { return repair[a] < repair[b] })
+	if median, max := repair[len(repair)/2], repair[len(repair)-1]; max > 2*median {
+		t.Errorf("repair load not spread: one survivor sent %d bytes, over 2x the median %d (%v)", max, median, repair)
 	}
 	// Some survivor must also notice the return: its evicted entry
 	// flips back to live the moment the restarted node is heard.

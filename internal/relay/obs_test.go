@@ -7,6 +7,7 @@ import (
 
 	"softstate/internal/obs"
 	"softstate/internal/sstp"
+	"softstate/internal/transport"
 )
 
 // TestRelayLinkMetrics runs a lossy publisher→relay→leaf chain with an
@@ -15,13 +16,13 @@ import (
 // counted when the lossy leaf NACKs, and tombstone/goodbye counters
 // tick when the publisher deletes a record and leaves the session.
 func TestRelayLinkMetrics(t *testing.T) {
-	nw := sstp.NewMemNetwork(1021)
+	nw := transport.NewMemNetwork(1021)
 	reg := obs.New("relaylink")
 
 	pc := nw.Endpoint("pub")
 	nw.Join("grp/root", "pub")
 	pub, err := sstp.NewSender(sstp.SenderConfig{
-		Session: 11, SenderID: 1, Conn: pc, Dest: sstp.MemAddr("grp/root"),
+		Session: 11, SenderID: 1, Conn: pc, Dest: transport.MemAddr("grp/root"),
 		TotalRate: 128_000, SummaryInterval: 50 * time.Millisecond,
 		TTL: 60 * time.Second, Seed: 1,
 	})
@@ -35,9 +36,9 @@ func TestRelayLinkMetrics(t *testing.T) {
 	nw.Join("grp/0", "dn/0")
 	r, err := New(Config{
 		Session: 11, RelayID: 100,
-		UpstreamConn: up, UpstreamFeedback: sstp.MemAddr("grp/root"),
+		UpstreamConn: up, UpstreamFeedback: transport.MemAddr("grp/root"),
 		Downstreams: []Downstream{{
-			Conn: dn, Dest: sstp.MemAddr("grp/0"), Rate: 128_000,
+			Conn: dn, Dest: transport.MemAddr("grp/0"), Rate: 128_000,
 		}},
 		TTL: 60 * time.Second, SummaryInterval: 50 * time.Millisecond,
 		NACKWindow: 30 * time.Millisecond,
@@ -52,7 +53,7 @@ func TestRelayLinkMetrics(t *testing.T) {
 	nw.Join("grp/0", "leaf/0")
 	leaf, err := sstp.NewReceiver(sstp.ReceiverConfig{
 		Session: 11, ReceiverID: 10_000, Conn: lc,
-		FeedbackDest: sstp.MemAddr("grp/0"),
+		FeedbackDest: transport.MemAddr("grp/0"),
 		NACKWindow:   30 * time.Millisecond,
 		Seed:         9,
 	})

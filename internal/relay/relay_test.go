@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"softstate/internal/sstp"
+	"softstate/internal/transport"
 )
 
 func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
@@ -42,14 +43,14 @@ type testTree struct {
 // "leaf/j". pubScope, if non-zero, bounds the tree's hop budget; rate
 // is every link's bandwidth (slow rates stretch the cold re-announce
 // cycle, forcing repair through the Query/NACK path).
-func buildTree(t *testing.T, nw *sstp.MemNetwork, depth, fanout int, pubScope uint8, rate float64, leafExpired *atomic.Int32) *testTree {
+func buildTree(t *testing.T, nw *transport.MemNetwork, depth, fanout int, pubScope uint8, rate float64, leafExpired *atomic.Int32) *testTree {
 	t.Helper()
 	tt := &testTree{}
 
 	pc := nw.Endpoint("pub")
 	nw.Join("grp/root", "pub")
 	pub, err := sstp.NewSender(sstp.SenderConfig{
-		Session: 9, SenderID: 1, Conn: pc, Dest: sstp.MemAddr("grp/root"),
+		Session: 9, SenderID: 1, Conn: pc, Dest: transport.MemAddr("grp/root"),
 		TotalRate: rate, SummaryInterval: 50 * time.Millisecond,
 		TTL: 60 * time.Second, Scope: pubScope, Seed: 1,
 	})
@@ -65,20 +66,20 @@ func buildTree(t *testing.T, nw *sstp.MemNetwork, depth, fanout int, pubScope ui
 		var next []string
 		for j := 0; j < pow(fanout, level); j++ {
 			parent := parentGroups[j/fanout]
-			upName := sstp.MemAddr(fmt.Sprintf("up/%d", k))
-			dnName := sstp.MemAddr(fmt.Sprintf("dn/%d", k))
+			upName := transport.MemAddr(fmt.Sprintf("up/%d", k))
+			dnName := transport.MemAddr(fmt.Sprintf("dn/%d", k))
 			group := fmt.Sprintf("grp/%d", k)
 			up := nw.Endpoint(upName)
-			nw.Join(sstp.MemAddr(parent), upName)
+			nw.Join(transport.MemAddr(parent), upName)
 			dn := nw.Endpoint(dnName)
-			nw.Join(sstp.MemAddr(group), dnName)
+			nw.Join(transport.MemAddr(group), dnName)
 			r, err := New(Config{
 				Session:          9,
 				RelayID:          uint64(100 * (k + 1)),
 				UpstreamConn:     up,
-				UpstreamFeedback: sstp.MemAddr(parent),
+				UpstreamFeedback: transport.MemAddr(parent),
 				Downstreams: []Downstream{{
-					Conn: dn, Dest: sstp.MemAddr(group), Rate: rate,
+					Conn: dn, Dest: transport.MemAddr(group), Rate: rate,
 				}},
 				TTL:             60 * time.Second,
 				SummaryInterval: 50 * time.Millisecond,
@@ -96,27 +97,33 @@ func buildTree(t *testing.T, nw *sstp.MemNetwork, depth, fanout int, pubScope ui
 	}
 
 	for j := 0; j < pow(fanout, depth); j++ {
-		parent := parentGroups[j/fanout]
-		name := sstp.MemAddr(fmt.Sprintf("leaf/%d", j))
-		lc := nw.Endpoint(name)
-		nw.Join(sstp.MemAddr(parent), name)
-		cfg := sstp.ReceiverConfig{
-			Session: 9, ReceiverID: uint64(10_000 + j), Conn: lc,
-			FeedbackDest:   sstp.MemAddr(parent),
-			NACKWindow:     30 * time.Millisecond,
-			FlushOnGoodbye: true,
-			Seed:           int64(2000 + j),
-		}
-		if leafExpired != nil {
-			cfg.OnExpire = func(string) { leafExpired.Add(1) }
-		}
-		leaf, err := sstp.NewReceiver(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tt.leaves = append(tt.leaves, leaf)
+		tt.leaves = append(tt.leaves, newLeaf(t, nw, j, parentGroups[j/fanout], leafExpired))
 	}
 	return tt
+}
+
+// newLeaf binds leaf j's endpoint "leaf/j", joins it to its parent's
+// group and returns the (unstarted) receiver.
+func newLeaf(t *testing.T, nw *transport.MemNetwork, j int, parent string, leafExpired *atomic.Int32) *sstp.Receiver {
+	t.Helper()
+	name := transport.MemAddr(fmt.Sprintf("leaf/%d", j))
+	lc := nw.Endpoint(name)
+	nw.Join(transport.MemAddr(parent), name)
+	cfg := sstp.ReceiverConfig{
+		Session: 9, ReceiverID: uint64(10_000 + j), Conn: lc,
+		FeedbackDest:   transport.MemAddr(parent),
+		NACKWindow:     30 * time.Millisecond,
+		FlushOnGoodbye: true,
+		Seed:           int64(2000 + j),
+	}
+	if leafExpired != nil {
+		cfg.OnExpire = func(string) { leafExpired.Add(1) }
+	}
+	leaf, err := sstp.NewReceiver(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return leaf
 }
 
 func pow(b, e int) int {
@@ -167,7 +174,7 @@ func (tt *testTree) converged(n int) bool {
 // dropping 5% of datagrams on every link. Every leaf's root digest
 // must reach the publisher's.
 func TestRelayTreeConvergesUnderLoss(t *testing.T) {
-	nw := sstp.NewMemNetwork(1009)
+	nw := transport.NewMemNetwork(1009)
 	nw.SetDefaultLoss(0.05)
 	tt := buildTree(t, nw, 2, 4, 0, 1_000_000, nil)
 	defer tt.stop()
@@ -194,7 +201,7 @@ func TestRelayTreeConvergesUnderLoss(t *testing.T) {
 // entirely by its parent relay — the publisher sees zero repair
 // traffic on the upstream link.
 func TestRelayLocalRepair(t *testing.T) {
-	nw := sstp.NewMemNetwork(1013)
+	nw := transport.NewMemNetwork(1013)
 	// 128 kbit/s stretches one cold re-announce cycle of 40 records to
 	// ~0.25 s, so the lossy leaf detects digest mismatches (summaries
 	// every 50 ms) and repairs through Query/NACK well before the next
@@ -231,6 +238,21 @@ func TestRelayLocalRepair(t *testing.T) {
 	if repaired == 0 {
 		t.Error("no relay answered any repair request despite a 50% lossy leaf link")
 	}
+
+	// A leaf that dies and restarts empty is the same property at full
+	// scale: its whole replica comes back from its relay (relay 1 feeds
+	// leaf 4), still without a single request reaching the publisher.
+	tt.leaves[4].Close()
+	nw.Endpoint("leaf/4").Close()
+	tt.leaves[4] = newLeaf(t, nw, 4, "grp/1", nil)
+	tt.leaves[4].Start()
+	waitFor(t, 30*time.Second, "restarted leaf to catch up", func() bool {
+		return tt.converged(n)
+	})
+	if st := tt.pub.Stats(); st.QueriesServed != 0 || st.NACKsReceived != 0 {
+		t.Errorf("restart catch-up leaked upstream: publisher served %d queries, heard %d NACKs",
+			st.QueriesServed, st.NACKsReceived)
+	}
 }
 
 // TestRelayGoodbyeFlushChain pins teardown through a 2-level relay
@@ -238,7 +260,7 @@ func TestRelayLocalRepair(t *testing.T) {
 // must flush the replica at every hop, each hop re-announcing the
 // departure downstream.
 func TestRelayGoodbyeFlushChain(t *testing.T) {
-	nw := sstp.NewMemNetwork(1019)
+	nw := transport.NewMemNetwork(1019)
 	var leafExpired atomic.Int32
 	tt := buildTree(t, nw, 3, 1, 0, 1_000_000, &leafExpired)
 	tt.start()
@@ -297,7 +319,7 @@ func TestRelayGoodbyeFlushChain(t *testing.T) {
 // adopt the origin as its new publisher so fresh records keep flowing
 // to the leaf.
 func TestRelayReparentOnOrphan(t *testing.T) {
-	nw := sstp.NewMemNetwork(1031)
+	nw := transport.NewMemNetwork(1031)
 	tt := buildTree(t, nw, 3, 1, 0, 1_000_000, nil)
 	// buildTree cannot arm the watchdog, so rebuild R2 (relay index 1,
 	// upstream "up/1" fed by "grp/0", downstream "dn/1" → "grp/1") with
@@ -309,12 +331,12 @@ func TestRelayReparentOnOrphan(t *testing.T) {
 		Session:          9,
 		RelayID:          200,
 		UpstreamConn:     up,
-		UpstreamFeedback: sstp.MemAddr("grp/0"),
-		Downstreams:      []Downstream{{Conn: dn, Dest: sstp.MemAddr("grp/1"), Rate: 1_000_000}},
+		UpstreamFeedback: transport.MemAddr("grp/0"),
+		Downstreams:      []Downstream{{Conn: dn, Dest: transport.MemAddr("grp/1"), Rate: 1_000_000}},
 		TTL:              60 * time.Second,
 		SummaryInterval:  50 * time.Millisecond,
 		NACKWindow:       30 * time.Millisecond,
-		FallbackFeedback: sstp.MemAddr("pub"),
+		FallbackFeedback: transport.MemAddr("pub"),
 		OrphanTimeout:    400 * time.Millisecond,
 		OnReparent: func() {
 			// The redial: leave the dead parent's group, join the
@@ -377,7 +399,7 @@ func TestRelayReparentOnOrphan(t *testing.T) {
 // second-level relay must refuse to forward, so the leaf never learns
 // anything and the drop is counted.
 func TestRelayScopeExhaustion(t *testing.T) {
-	nw := sstp.NewMemNetwork(1021)
+	nw := transport.NewMemNetwork(1021)
 	tt := buildTree(t, nw, 3, 1, 2, 1_000_000, nil)
 	defer tt.stop()
 	tt.start()
@@ -416,11 +438,11 @@ func TestHotUpdateThroughRelayNotParked(t *testing.T) {
 		table   = 1024
 		updates = 50
 	)
-	nw := sstp.NewMemNetwork(3)
+	nw := transport.NewMemNetwork(3)
 	pc := nw.Endpoint("pub")
 	nw.Join("grp/root", "pub")
 	pub, err := sstp.NewSender(sstp.SenderConfig{
-		Session: 9, SenderID: 1, Conn: pc, Dest: sstp.MemAddr("grp/root"),
+		Session: 9, SenderID: 1, Conn: pc, Dest: transport.MemAddr("grp/root"),
 		TotalRate: rate, BatchDatagrams: 16, CoalesceRecords: 32,
 		SummaryInterval: 200 * time.Millisecond, TTL: 60 * time.Second, Seed: 1,
 	})
@@ -433,8 +455,8 @@ func TestHotUpdateThroughRelayNotParked(t *testing.T) {
 	nw.Join("grp/0", "dn/0")
 	r, err := New(Config{
 		Session: 9, RelayID: 100,
-		UpstreamConn: up, UpstreamFeedback: sstp.MemAddr("grp/root"),
-		Downstreams:     []Downstream{{Conn: dn, Dest: sstp.MemAddr("grp/0"), Rate: rate}},
+		UpstreamConn: up, UpstreamFeedback: transport.MemAddr("grp/root"),
+		Downstreams:     []Downstream{{Conn: dn, Dest: transport.MemAddr("grp/0"), Rate: rate}},
 		BatchDatagrams:  16,
 		CoalesceRecords: 32,
 		TTL:             60 * time.Second,
@@ -453,7 +475,7 @@ func TestHotUpdateThroughRelayNotParked(t *testing.T) {
 	nw.Join("grp/0", "leaf/0")
 	leaf, err := sstp.NewReceiver(sstp.ReceiverConfig{
 		Session: 9, ReceiverID: 10_000, Conn: lc,
-		FeedbackDest: sstp.MemAddr("grp/0"), NACKWindow: 50 * time.Millisecond, Seed: 2000,
+		FeedbackDest: transport.MemAddr("grp/0"), NACKWindow: 50 * time.Millisecond, Seed: 2000,
 		OnUpdate: func(_ string, value []byte, _ uint64, _ float64) {
 			if stamp := binary.BigEndian.Uint32(value); stamp != 0 {
 				mu.Lock()

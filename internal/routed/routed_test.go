@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"softstate/internal/sstp"
+	"softstate/internal/transport"
 )
 
 func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
@@ -72,17 +73,17 @@ func TestBetterOrdering(t *testing.T) {
 
 // twoRouterSetup builds routers r1 and r2 adjacent to one RIB over a
 // shared in-memory network, each on its own SSTP session.
-func twoRouterSetup(t *testing.T) (*Router, *Router, *RIB, *sstp.MemNetwork, func()) {
+func twoRouterSetup(t *testing.T) (*Router, *Router, *RIB, *transport.MemNetwork, func()) {
 	t.Helper()
-	nw := sstp.NewMemNetwork(41)
+	nw := transport.NewMemNetwork(41)
 	rib := NewRIB()
 	var closers []func()
 
 	mkRouter := func(name string, session uint64) *Router {
-		sc := nw.Endpoint(sstp.MemAddr(name))
+		sc := nw.Endpoint(transport.MemAddr(name))
 		s, err := sstp.NewSender(sstp.SenderConfig{
 			Session: session, SenderID: 1,
-			Conn: sc, Dest: sstp.MemAddr("rib-" + name),
+			Conn: sc, Dest: transport.MemAddr("rib-" + name),
 			TotalRate: 128_000, SummaryInterval: 60 * time.Millisecond,
 			TTL: 1500 * time.Millisecond,
 		})
@@ -93,8 +94,8 @@ func twoRouterSetup(t *testing.T) (*Router, *Router, *RIB, *sstp.MemNetwork, fun
 		closers = append(closers, func() { s.Close() })
 		_, err = rib.AddAdjacency(name, sstp.ReceiverConfig{
 			Session: session, ReceiverID: 2,
-			Conn:         nw.Endpoint(sstp.MemAddr("rib-" + name)),
-			FeedbackDest: sstp.MemAddr(name),
+			Conn:         nw.Endpoint(transport.MemAddr("rib-" + name)),
+			FeedbackDest: transport.MemAddr(name),
 			NACKWindow:   30 * time.Millisecond,
 		})
 		if err != nil {

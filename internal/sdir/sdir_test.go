@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"softstate/internal/sstp"
+	"softstate/internal/transport"
 )
 
 func sampleSession() Session {
@@ -142,11 +143,11 @@ func TestPropertyRoundTrip(t *testing.T) {
 // in-memory network: announce, update, withdraw, and soft-state
 // expiry all flow through to the browser.
 func TestDirectoryBrowserEndToEnd(t *testing.T) {
-	nw := sstp.NewMemNetwork(21)
+	nw := transport.NewMemNetwork(21)
 	nw.SetLoss("dir", "ui", 0.1)
 	sender, err := sstp.NewSender(sstp.SenderConfig{
 		Session: 9875, SenderID: 1,
-		Conn: nw.Endpoint("dir"), Dest: sstp.MemAddr("ui"),
+		Conn: nw.Endpoint("dir"), Dest: transport.MemAddr("ui"),
 		TotalRate: 256_000, SummaryInterval: 60 * time.Millisecond,
 		TTL: 2 * time.Second,
 	})
@@ -160,7 +161,7 @@ func TestDirectoryBrowserEndToEnd(t *testing.T) {
 	var mu sync.Mutex
 	browser, rcv, err := NewBrowser(sstp.ReceiverConfig{
 		Session: 9875, ReceiverID: 2,
-		Conn: nw.Endpoint("ui"), FeedbackDest: sstp.MemAddr("dir"),
+		Conn: nw.Endpoint("ui"), FeedbackDest: transport.MemAddr("dir"),
 		NACKWindow: 30 * time.Millisecond,
 	})
 	if err != nil {
@@ -224,9 +225,9 @@ func TestDirectoryBrowserEndToEnd(t *testing.T) {
 }
 
 func TestAnnounceValidation(t *testing.T) {
-	nw := sstp.NewMemNetwork(22)
+	nw := transport.NewMemNetwork(22)
 	sender, err := sstp.NewSender(sstp.SenderConfig{
-		Session: 1, SenderID: 1, Conn: nw.Endpoint("d"), Dest: sstp.MemAddr("u"), TotalRate: 1000,
+		Session: 1, SenderID: 1, Conn: nw.Endpoint("d"), Dest: transport.MemAddr("u"), TotalRate: 1000,
 	})
 	if err != nil {
 		t.Fatal(err)

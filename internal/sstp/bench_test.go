@@ -4,17 +4,19 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"softstate/internal/transport"
 )
 
 // benchSender builds a publisher with n live records and no running
 // loops, so the announcement hot path can be driven synchronously.
 func benchSender(b *testing.B, n int) *Sender {
 	b.Helper()
-	nw := NewMemNetwork(1)
+	nw := transport.NewMemNetwork(1)
 	sc := nw.Endpoint("sender")
 	s, err := NewSender(SenderConfig{
 		Session: 1, SenderID: 1,
-		Conn: sc, Dest: MemAddr("sink"),
+		Conn: sc, Dest: transport.MemAddr("sink"),
 		TotalRate: 1e9,
 		TTL:       time.Hour,
 	})

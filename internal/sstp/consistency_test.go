@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"softstate/internal/staleness"
+	"softstate/internal/transport"
 )
 
 // TestConsistencyLossRegimeChange is the online-estimator acceptance
@@ -20,14 +21,14 @@ import (
 func TestConsistencyLossRegimeChange(t *testing.T) {
 	const records = 32
 
-	nw := NewMemNetwork(7)
+	nw := transport.NewMemNetwork(7)
 	pc := nw.Endpoint("pub")
 	nw.Join("grp", "pub")
 	rc := nw.Endpoint("rcv")
 	nw.Join("grp", "rcv")
 
 	pub, err := NewSender(SenderConfig{
-		Session: 3, SenderID: 1, Conn: pc, Dest: MemAddr("grp"),
+		Session: 3, SenderID: 1, Conn: pc, Dest: transport.MemAddr("grp"),
 		TotalRate: 2_000_000, SummaryInterval: 50 * time.Millisecond,
 		TTL: 60 * time.Second, Seed: 1,
 	})
@@ -37,7 +38,7 @@ func TestConsistencyLossRegimeChange(t *testing.T) {
 	est := staleness.NewEstimator(2 * time.Second)
 	rcv, err := NewReceiver(ReceiverConfig{
 		Session: 3, ReceiverID: 100, Conn: rc,
-		FeedbackDest: MemAddr("grp"),
+		FeedbackDest: transport.MemAddr("grp"),
 		NACKWindow:   30 * time.Millisecond,
 		Consistency:  est,
 		Seed:         2,

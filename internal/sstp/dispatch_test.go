@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"softstate/internal/transport"
 )
 
 // TestCallbackDispatcherOrdering hammers the receiver with rapid
@@ -16,7 +18,7 @@ import (
 // after Close returns. Run under -race this also exercises the
 // queue-swap path against the dispatch/sweep/timer goroutines.
 func TestCallbackDispatcherOrdering(t *testing.T) {
-	nw := NewMemNetwork(61)
+	nw := transport.NewMemNetwork(61)
 	sc := nw.Endpoint("sender")
 	rc := nw.Endpoint("rcv")
 
@@ -32,7 +34,7 @@ func TestCallbackDispatcherOrdering(t *testing.T) {
 	)
 	s, err := NewSender(SenderConfig{
 		Session: 7, SenderID: 1,
-		Conn: sc, Dest: MemAddr("rcv"),
+		Conn: sc, Dest: transport.MemAddr("rcv"),
 		TotalRate:       2_000_000,
 		SummaryInterval: 40 * time.Millisecond,
 		TTL:             250 * time.Millisecond,
@@ -43,7 +45,7 @@ func TestCallbackDispatcherOrdering(t *testing.T) {
 	}
 	r, err := NewReceiver(ReceiverConfig{
 		Session: 7, ReceiverID: 2,
-		Conn: rc, FeedbackDest: MemAddr("sender"),
+		Conn: rc, FeedbackDest: transport.MemAddr("sender"),
 		ReportInterval: 100 * time.Millisecond,
 		NACKWindow:     20 * time.Millisecond,
 		Seed:           2,
@@ -118,13 +120,13 @@ func TestCallbackDispatcherOrdering(t *testing.T) {
 // and closes the receiver mid-storm: expirations queued but not yet
 // dispatched must be dropped, not delivered after Close.
 func TestCallbackAfterCloseExpiry(t *testing.T) {
-	nw := NewMemNetwork(62)
+	nw := transport.NewMemNetwork(62)
 	sc := nw.Endpoint("sender")
 	rc := nw.Endpoint("rcv")
 	var closed atomic.Bool
 	r, err := NewReceiver(ReceiverConfig{
 		Session: 7, ReceiverID: 2,
-		Conn: rc, FeedbackDest: MemAddr("sender"),
+		Conn: rc, FeedbackDest: transport.MemAddr("sender"),
 		Seed: 2,
 		OnExpire: func(key string) {
 			if closed.Load() {
@@ -137,7 +139,7 @@ func TestCallbackAfterCloseExpiry(t *testing.T) {
 	}
 	s, err := NewSender(SenderConfig{
 		Session: 7, SenderID: 1,
-		Conn: sc, Dest: MemAddr("rcv"),
+		Conn: sc, Dest: transport.MemAddr("rcv"),
 		TotalRate:       2_000_000,
 		SummaryInterval: 40 * time.Millisecond,
 		TTL:             300 * time.Millisecond,

@@ -4,16 +4,18 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"softstate/internal/transport"
 )
 
 // TestHeartbeatsWhenEmpty: a publisher with an empty table must keep
 // the session alive with heartbeats so receivers can estimate loss and
 // detect the session.
 func TestHeartbeatsWhenEmpty(t *testing.T) {
-	nw := NewMemNetwork(71)
+	nw := transport.NewMemNetwork(71)
 	s, err := NewSender(SenderConfig{
 		Session: 1, SenderID: 1,
-		Conn: nw.Endpoint("s"), Dest: MemAddr("r"),
+		Conn: nw.Endpoint("s"), Dest: transport.MemAddr("r"),
 		TotalRate: 64_000, SummaryInterval: 40 * time.Millisecond,
 	})
 	if err != nil {
@@ -32,10 +34,10 @@ func TestHeartbeatsWhenEmpty(t *testing.T) {
 // TestSummariesResumeAfterFirstPublish: heartbeats switch to summaries
 // once there is data.
 func TestSummariesResumeAfterFirstPublish(t *testing.T) {
-	nw := NewMemNetwork(72)
+	nw := transport.NewMemNetwork(72)
 	s, err := NewSender(SenderConfig{
 		Session: 1, SenderID: 1,
-		Conn: nw.Endpoint("s"), Dest: MemAddr("r"),
+		Conn: nw.Endpoint("s"), Dest: transport.MemAddr("r"),
 		TotalRate: 64_000, SummaryInterval: 40 * time.Millisecond,
 	})
 	if err != nil {
@@ -53,10 +55,10 @@ func TestSummariesResumeAfterFirstPublish(t *testing.T) {
 // fully announced converges purely from cold retransmissions and
 // summaries — the paper's late-joiner benefit.
 func TestLateJoinerCatchesUp(t *testing.T) {
-	nw := NewMemNetwork(73)
+	nw := transport.NewMemNetwork(73)
 	s, err := NewSender(SenderConfig{
 		Session: 2, SenderID: 1,
-		Conn: nw.Endpoint("s"), Dest: MemAddr("r"),
+		Conn: nw.Endpoint("s"), Dest: transport.MemAddr("r"),
 		TotalRate: 256_000, SummaryInterval: 60 * time.Millisecond,
 		TTL: 30 * time.Second,
 	})
@@ -72,7 +74,7 @@ func TestLateJoinerCatchesUp(t *testing.T) {
 
 	r, err := NewReceiver(ReceiverConfig{
 		Session: 2, ReceiverID: 2,
-		Conn: nw.Endpoint("r"), FeedbackDest: MemAddr("s"),
+		Conn: nw.Endpoint("r"), FeedbackDest: transport.MemAddr("s"),
 		NACKWindow: 30 * time.Millisecond,
 	})
 	if err != nil {
@@ -89,11 +91,11 @@ func TestLateJoinerCatchesUp(t *testing.T) {
 // TestSessionIsolation: two sessions on the same endpoints must not
 // leak records into each other.
 func TestSessionIsolation(t *testing.T) {
-	nw := NewMemNetwork(74)
+	nw := transport.NewMemNetwork(74)
 	mk := func(session uint64, sndName, rcvName string) (*Sender, *Receiver) {
 		s, err := NewSender(SenderConfig{
 			Session: session, SenderID: session * 10,
-			Conn: nw.Endpoint(MemAddr(sndName)), Dest: MemAddr(rcvName),
+			Conn: nw.Endpoint(transport.MemAddr(sndName)), Dest: transport.MemAddr(rcvName),
 			TotalRate: 128_000, SummaryInterval: 60 * time.Millisecond,
 		})
 		if err != nil {
@@ -101,7 +103,7 @@ func TestSessionIsolation(t *testing.T) {
 		}
 		r, err := NewReceiver(ReceiverConfig{
 			Session: session, ReceiverID: session*10 + 1,
-			Conn: nw.Endpoint(MemAddr(rcvName)), FeedbackDest: MemAddr(sndName),
+			Conn: nw.Endpoint(transport.MemAddr(rcvName)), FeedbackDest: transport.MemAddr(sndName),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -153,9 +155,9 @@ func TestDuplicateDeliveryCounted(t *testing.T) {
 // TestOversizedPublishRejected: values beyond the wire limit must be
 // rejected at Publish, not break the send loop.
 func TestOversizedPublishRejected(t *testing.T) {
-	nw := NewMemNetwork(75)
+	nw := transport.NewMemNetwork(75)
 	s, err := NewSender(SenderConfig{
-		Session: 1, SenderID: 1, Conn: nw.Endpoint("s"), Dest: MemAddr("r"), TotalRate: 1000,
+		Session: 1, SenderID: 1, Conn: nw.Endpoint("s"), Dest: transport.MemAddr("r"), TotalRate: 1000,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -5,16 +5,17 @@ import (
 	"time"
 
 	"softstate/internal/sstp"
+	"softstate/internal/transport"
 )
 
 // Example demonstrates the smallest SSTP program: one publisher and
 // one subscriber on an in-memory network, converging by digest
 // equality.
 func Example() {
-	nw := sstp.NewMemNetwork(1)
+	nw := transport.NewMemNetwork(1)
 	pub, err := sstp.NewSender(sstp.SenderConfig{
 		Session: 1, SenderID: 1,
-		Conn: nw.Endpoint("pub"), Dest: sstp.MemAddr("sub"),
+		Conn: nw.Endpoint("pub"), Dest: transport.MemAddr("sub"),
 		TotalRate: 512_000, SummaryInterval: 50 * time.Millisecond,
 	})
 	if err != nil {
@@ -23,7 +24,7 @@ func Example() {
 	defer pub.Close()
 	sub, err := sstp.NewReceiver(sstp.ReceiverConfig{
 		Session: 1, ReceiverID: 2,
-		Conn: nw.Endpoint("sub"), FeedbackDest: sstp.MemAddr("pub"),
+		Conn: nw.Endpoint("sub"), FeedbackDest: transport.MemAddr("pub"),
 	})
 	if err != nil {
 		panic(err)
@@ -46,10 +47,10 @@ func Example() {
 // ExampleSenderConfig_classes shows Figure-12 style application data
 // classes: bandwidth divides 3:1 between telemetry and logs.
 func ExampleSenderConfig_classes() {
-	nw := sstp.NewMemNetwork(2)
+	nw := transport.NewMemNetwork(2)
 	pub, err := sstp.NewSender(sstp.SenderConfig{
 		Session: 1, SenderID: 1,
-		Conn: nw.Endpoint("p"), Dest: sstp.MemAddr("s"),
+		Conn: nw.Endpoint("p"), Dest: transport.MemAddr("s"),
 		TotalRate: 256_000,
 		Classes: []sstp.Class{
 			{Name: "telemetry", Weight: 0.75},

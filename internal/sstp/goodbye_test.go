@@ -4,6 +4,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"softstate/internal/transport"
 )
 
 // TestGoodbyeFlushOptIn pins the two Goodbye behaviours side by side:
@@ -11,7 +13,7 @@ import (
 // publisher leaves (firing OnExpire per key and OnGoodbye after), while
 // a default receiver keeps its soft state and lets it age out by TTL.
 func TestGoodbyeFlushOptIn(t *testing.T) {
-	nw := NewMemNetwork(71)
+	nw := transport.NewMemNetwork(71)
 	sc := nw.Endpoint("sender")
 	nw.Join("g", "sender")
 	fc := nw.Endpoint("flush")
@@ -20,7 +22,7 @@ func TestGoodbyeFlushOptIn(t *testing.T) {
 	nw.Join("g", "keep")
 
 	s, err := NewSender(SenderConfig{
-		Session: 3, SenderID: 1, Conn: sc, Dest: MemAddr("g"),
+		Session: 3, SenderID: 1, Conn: sc, Dest: transport.MemAddr("g"),
 		TotalRate: 512_000, SummaryInterval: 50 * time.Millisecond,
 		TTL: 60 * time.Second, Seed: 1,
 	})
@@ -29,7 +31,7 @@ func TestGoodbyeFlushOptIn(t *testing.T) {
 	}
 	var expired, saidGoodbye atomic.Int32
 	flush, err := NewReceiver(ReceiverConfig{
-		Session: 3, ReceiverID: 2, Conn: fc, FeedbackDest: MemAddr("g"),
+		Session: 3, ReceiverID: 2, Conn: fc, FeedbackDest: transport.MemAddr("g"),
 		NACKWindow: 30 * time.Millisecond, Seed: 2,
 		FlushOnGoodbye: true,
 		OnExpire:       func(string) { expired.Add(1) },
@@ -40,7 +42,7 @@ func TestGoodbyeFlushOptIn(t *testing.T) {
 	}
 	defer flush.Close()
 	keep, err := NewReceiver(ReceiverConfig{
-		Session: 3, ReceiverID: 4, Conn: kc, FeedbackDest: MemAddr("g"),
+		Session: 3, ReceiverID: 4, Conn: kc, FeedbackDest: transport.MemAddr("g"),
 		NACKWindow: 30 * time.Millisecond, Seed: 3,
 	})
 	if err != nil {
@@ -84,11 +86,11 @@ func TestGoodbyeFlushOptIn(t *testing.T) {
 // it flushes the table and announces the departure, but the sender can
 // publish again afterwards and receivers re-learn it.
 func TestSenderGoodbyeKeepsRunning(t *testing.T) {
-	nw := NewMemNetwork(72)
+	nw := transport.NewMemNetwork(72)
 	sc := nw.Endpoint("sender")
 	rc := nw.Endpoint("rcv")
 	s, err := NewSender(SenderConfig{
-		Session: 3, SenderID: 1, Conn: sc, Dest: MemAddr("rcv"),
+		Session: 3, SenderID: 1, Conn: sc, Dest: transport.MemAddr("rcv"),
 		TotalRate: 512_000, SummaryInterval: 50 * time.Millisecond,
 		TTL: 60 * time.Second, Seed: 1,
 	})
@@ -97,7 +99,7 @@ func TestSenderGoodbyeKeepsRunning(t *testing.T) {
 	}
 	defer s.Close()
 	r, err := NewReceiver(ReceiverConfig{
-		Session: 3, ReceiverID: 2, Conn: rc, FeedbackDest: MemAddr("sender"),
+		Session: 3, ReceiverID: 2, Conn: rc, FeedbackDest: transport.MemAddr("sender"),
 		NACKWindow: 30 * time.Millisecond, Seed: 2,
 		FlushOnGoodbye: true,
 	})

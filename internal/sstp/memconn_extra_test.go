@@ -3,16 +3,18 @@ package sstp
 import (
 	"testing"
 	"time"
+
+	"softstate/internal/transport"
 )
 
 func TestMemNetworkLeave(t *testing.T) {
-	nw := NewMemNetwork(81)
+	nw := transport.NewMemNetwork(81)
 	a := nw.Endpoint("a")
 	b := nw.Endpoint("b")
 	nw.Join("g", "a")
 	nw.Join("g", "b")
 	nw.Leave("g", "b")
-	a.WriteTo([]byte("x"), MemAddr("g"))
+	a.WriteTo([]byte("x"), transport.MemAddr("g"))
 	buf := make([]byte, 8)
 	_ = b.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
 	if _, _, err := b.ReadFrom(buf); err == nil {
@@ -23,12 +25,12 @@ func TestMemNetworkLeave(t *testing.T) {
 }
 
 func TestMemNetworkDelay(t *testing.T) {
-	nw := NewMemNetwork(82)
+	nw := transport.NewMemNetwork(82)
 	a := nw.Endpoint("a")
 	b := nw.Endpoint("b")
 	nw.SetDelay("a", "b", 120*time.Millisecond)
 	start := time.Now()
-	a.WriteTo([]byte("x"), MemAddr("b"))
+	a.WriteTo([]byte("x"), transport.MemAddr("b"))
 	buf := make([]byte, 8)
 	_ = b.SetReadDeadline(time.Now().Add(time.Second))
 	if _, _, err := b.ReadFrom(buf); err != nil {
@@ -44,7 +46,7 @@ func TestMemNetworkDelay(t *testing.T) {
 // near member before the far member — the property relay-tree tests
 // lean on to assert per-hop latency ordering.
 func TestMemNetworkPerLinkLatencyOrdering(t *testing.T) {
-	nw := NewMemNetwork(87)
+	nw := transport.NewMemNetwork(87)
 	src := nw.Endpoint("src")
 	near := nw.Endpoint("near")
 	far := nw.Endpoint("far")
@@ -54,7 +56,7 @@ func TestMemNetworkPerLinkLatencyOrdering(t *testing.T) {
 	nw.SetDelay("src", "far", 60*time.Millisecond)
 
 	start := time.Now()
-	src.WriteTo([]byte("x"), MemAddr("g"))
+	src.WriteTo([]byte("x"), transport.MemAddr("g"))
 	buf := make([]byte, 8)
 	_ = near.SetReadDeadline(start.Add(time.Second))
 	if _, _, err := near.ReadFrom(buf); err != nil {
@@ -80,7 +82,7 @@ func TestMemNetworkPerLinkLatencyOrdering(t *testing.T) {
 // (jitter draws come from the shared seeded RNG).
 func TestMemNetworkJitterDeterministic(t *testing.T) {
 	deliverTimes := func(seed int64) []time.Duration {
-		nw := NewMemNetwork(seed)
+		nw := transport.NewMemNetwork(seed)
 		a := nw.Endpoint("a")
 		b := nw.Endpoint("b")
 		nw.SetDelay("a", "b", 10*time.Millisecond)
@@ -89,7 +91,7 @@ func TestMemNetworkJitterDeterministic(t *testing.T) {
 		buf := make([]byte, 8)
 		for i := 0; i < 5; i++ {
 			start := time.Now()
-			a.WriteTo([]byte{byte(i)}, MemAddr("b"))
+			a.WriteTo([]byte{byte(i)}, transport.MemAddr("b"))
 			_ = b.SetReadDeadline(start.Add(time.Second))
 			if _, _, err := b.ReadFrom(buf); err != nil {
 				t.Fatal(err)
@@ -116,11 +118,11 @@ func TestMemNetworkJitterDeterministic(t *testing.T) {
 }
 
 func TestMemNetworkDefaultLoss(t *testing.T) {
-	nw := NewMemNetwork(83)
+	nw := transport.NewMemNetwork(83)
 	nw.SetDefaultLoss(1)
 	a := nw.Endpoint("a")
 	b := nw.Endpoint("b")
-	a.WriteTo([]byte("x"), MemAddr("b"))
+	a.WriteTo([]byte("x"), transport.MemAddr("b"))
 	buf := make([]byte, 8)
 	_ = b.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
 	if _, _, err := b.ReadFrom(buf); err == nil {
@@ -128,7 +130,7 @@ func TestMemNetworkDefaultLoss(t *testing.T) {
 	}
 	// A per-path override beats the default.
 	nw.SetLoss("a", "b", 0)
-	a.WriteTo([]byte("y"), MemAddr("b"))
+	a.WriteTo([]byte("y"), transport.MemAddr("b"))
 	_ = b.SetReadDeadline(time.Now().Add(time.Second))
 	if _, _, err := b.ReadFrom(buf); err != nil {
 		t.Fatalf("override did not apply: %v", err)
@@ -136,7 +138,7 @@ func TestMemNetworkDefaultLoss(t *testing.T) {
 }
 
 func TestMemNetworkLossValidation(t *testing.T) {
-	nw := NewMemNetwork(84)
+	nw := transport.NewMemNetwork(84)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("loss > 1 accepted")
@@ -146,7 +148,7 @@ func TestMemNetworkLossValidation(t *testing.T) {
 }
 
 func TestMemConnReadAfterClose(t *testing.T) {
-	nw := NewMemNetwork(85)
+	nw := transport.NewMemNetwork(85)
 	a := nw.Endpoint("a")
 	a.Close()
 	buf := make([]byte, 8)
@@ -158,7 +160,7 @@ func TestMemConnReadAfterClose(t *testing.T) {
 	if a2 == a {
 		t.Fatal("closed endpoint reused")
 	}
-	nw.Endpoint("b").WriteTo([]byte("x"), MemAddr("a"))
+	nw.Endpoint("b").WriteTo([]byte("x"), transport.MemAddr("a"))
 	_ = a2.SetReadDeadline(time.Now().Add(time.Second))
 	if _, _, err := a2.ReadFrom(buf); err != nil {
 		t.Fatalf("fresh endpoint not reachable: %v", err)
@@ -166,10 +168,10 @@ func TestMemConnReadAfterClose(t *testing.T) {
 }
 
 func TestMemConnTruncatingRead(t *testing.T) {
-	nw := NewMemNetwork(86)
+	nw := transport.NewMemNetwork(86)
 	a := nw.Endpoint("a")
 	b := nw.Endpoint("b")
-	a.WriteTo([]byte("0123456789"), MemAddr("b"))
+	a.WriteTo([]byte("0123456789"), transport.MemAddr("b"))
 	small := make([]byte, 4)
 	_ = b.SetReadDeadline(time.Now().Add(time.Second))
 	n, _, err := b.ReadFrom(small)

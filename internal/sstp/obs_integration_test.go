@@ -1,28 +1,38 @@
 package sstp
 
 import (
+	"encoding/json"
+	"io"
+	"net/http"
 	"strings"
 	"testing"
 	"time"
 
 	"softstate/internal/obs"
 	"softstate/internal/trace"
+	"softstate/internal/transport"
 )
 
 // TestObservabilityEndToEnd drives an instrumented sender/receiver
 // pair over a lossy in-memory network and asserts the shared registry
 // and event ring reflect the session: announcements split by queue,
-// deliveries, reports, and a renderable Prometheus page.
+// deliveries, reports, and a renderable Prometheus page. It then
+// serves the receiver's admin endpoint on a loopback port and scrapes
+// it over real HTTP the way a monitoring stack would: /metrics must
+// carry the consistency gauges, /stats.json a non-empty consistency
+// section, /trace node-stamped lifecycle events.
 func TestObservabilityEndToEnd(t *testing.T) {
 	reg := obs.New("test")
-	ring := trace.NewSafe(512)
-	nw := NewMemNetwork(42)
+	// Deep enough that the cold cycle's TX events (~1k/s) cannot evict
+	// the publish-time ARRIVE events before /trace is scraped.
+	ring := trace.NewSafe(1 << 16)
+	nw := transport.NewMemNetwork(42)
 	sc := nw.Endpoint("sender")
 	rc := nw.Endpoint("rcv")
 	nw.SetLoss("sender", "rcv", 0.2)
 	s, err := NewSender(SenderConfig{
 		Session: 7, SenderID: 1,
-		Conn: sc, Dest: MemAddr("rcv"),
+		Conn: sc, Dest: transport.MemAddr("rcv"),
 		TotalRate:       512_000,
 		SummaryInterval: 80 * time.Millisecond,
 		TTL:             5 * time.Second,
@@ -35,7 +45,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 	r, err := NewReceiver(ReceiverConfig{
 		Session: 7, ReceiverID: 2,
-		Conn: rc, FeedbackDest: MemAddr("sender"),
+		Conn: rc, FeedbackDest: transport.MemAddr("sender"),
 		ReportInterval: 150 * time.Millisecond,
 		NACKWindow:     30 * time.Millisecond,
 		Seed:           2,
@@ -100,5 +110,63 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	deliveries := ring.Filter(func(ev trace.Event) bool { return ev.Kind == trace.Deliver })
 	if len(deliveries) == 0 {
 		t.Error("trace ring has no DELIVER events")
+	}
+
+	est := r.Consistency()
+	waitFor(t, 5*time.Second, "a digest-agreement sample", func() bool {
+		return est.Snapshot().AgreementSamples > 0
+	})
+	srv, addr, err := obs.ServeAdmin("127.0.0.1:0", reg, ring,
+		obs.Section{Name: "consistency", Get: func() any { return est.Snapshot() }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	get := func(path string) string {
+		t.Helper()
+		resp, err := http.Get("http://" + addr.String() + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %s, %v", path, resp.Status, err)
+		}
+		return string(body)
+	}
+
+	metrics := get("/metrics")
+	for _, name := range []string{
+		"sstp_consistency_estimate", "sstp_tvis_seconds",
+		"sstp_staleness_age_seconds", "sstp_tvis_window_seconds",
+	} {
+		if !strings.Contains(metrics, name) {
+			t.Errorf("/metrics missing %s", name)
+		}
+	}
+	var stats struct {
+		Consistency struct {
+			TrackedKeys      int     `json:"tracked_keys"`
+			Estimate         float64 `json:"consistency_estimate"`
+			AgreementSamples uint64  `json:"agreement_samples"`
+		} `json:"consistency"`
+	}
+	if err := json.Unmarshal([]byte(get("/stats.json")), &stats); err != nil {
+		t.Fatalf("/stats.json: %v", err)
+	}
+	if c := stats.Consistency; c.TrackedKeys != len(keys) || c.AgreementSamples == 0 ||
+		c.Estimate <= 0 || c.Estimate > 1 {
+		t.Errorf("/stats.json consistency section = %+v, want %d tracked keys, agreement samples, an estimate in (0,1]",
+			c, len(keys))
+	}
+	events := get("/trace?key=a/x")
+	for _, kind := range []string{"ARRIVE", "TX", "DELIVER"} {
+		if !strings.Contains(events, `"kind":"`+kind+`"`) {
+			t.Errorf("/trace has no %s event for a/x", kind)
+		}
+	}
+	if !strings.Contains(events, `"node":`) {
+		t.Error("/trace events carry no node stamps")
 	}
 }

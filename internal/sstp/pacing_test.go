@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"softstate/internal/protocol"
+	"softstate/internal/transport"
 )
 
 // stampedValue is a size-byte value whose first four bytes carry
@@ -29,7 +30,7 @@ type wireTap struct {
 	keys  map[string]bool
 }
 
-func startWireTap(c *MemConn) *wireTap {
+func startWireTap(c *transport.MemConn) *wireTap {
 	tap := &wireTap{first: make(map[uint32]time.Time), keys: make(map[string]bool)}
 	go func() {
 		buf := make([]byte, 65536)
@@ -90,12 +91,12 @@ func medianDuration(ds []time.Duration) time.Duration {
 // a datagram time or two. When the loop picked a full batch and then
 // slept off its 179 ms of link time, the median was ~270 ms.
 func TestHotUpdateNotParkedBehindBatch(t *testing.T) {
-	nw := NewMemNetwork(1)
+	nw := transport.NewMemNetwork(1)
 	tx := nw.Endpoint("tx")
 	rx := nw.Endpoint("rx")
 	defer rx.Close()
 	s, err := NewSender(SenderConfig{
-		Session: 7, SenderID: 1, Conn: tx, Dest: MemAddr("rx"),
+		Session: 7, SenderID: 1, Conn: tx, Dest: transport.MemAddr("rx"),
 		TotalRate:       1e6,
 		BatchDatagrams:  16,
 		CoalesceRecords: 32,
@@ -146,11 +147,11 @@ func TestHotUpdateNotParkedBehindBatch(t *testing.T) {
 // TestIdlePublishSentPromptly: a Publish into an idle sender must wake
 // the send loop rather than wait out its 20 ms nap.
 func TestIdlePublishSentPromptly(t *testing.T) {
-	nw := NewMemNetwork(1)
+	nw := transport.NewMemNetwork(1)
 	tx := nw.Endpoint("tx")
 	rx := nw.Endpoint("rx")
 	s, err := NewSender(SenderConfig{
-		Session: 7, SenderID: 1, Conn: tx, Dest: MemAddr("rx"),
+		Session: 7, SenderID: 1, Conn: tx, Dest: transport.MemAddr("rx"),
 		TotalRate:       1e6,
 		SummaryInterval: time.Hour,
 		NoRetransmit:    true, // one transmission per version: idle between publishes
@@ -184,7 +185,7 @@ func TestIdlePublishSentPromptly(t *testing.T) {
 // big) and delivers nothing: a link fast enough never to be the
 // bottleneck, so what it sees is the pacer's doing alone.
 type countConn struct {
-	*MemConn
+	*transport.MemConn
 	mu    sync.Mutex
 	at    []time.Time
 	bytes []int
@@ -247,9 +248,9 @@ func TestPacedRateConformance(t *testing.T) {
 	for _, rate := range []float64{1e6, 50e6} {
 		t.Run(fmt.Sprintf("%.0fMbit", rate/1e6), func(t *testing.T) {
 			newSender := func(noRetransmit bool) (*Sender, *countConn) {
-				conn := &countConn{MemConn: NewMemNetwork(1).Endpoint("tx")}
+				conn := &countConn{MemConn: transport.NewMemNetwork(1).Endpoint("tx")}
 				s, err := NewSender(SenderConfig{
-					Session: 7, SenderID: 1, Conn: conn, Dest: MemAddr("rx"),
+					Session: 7, SenderID: 1, Conn: conn, Dest: transport.MemAddr("rx"),
 					TotalRate:       rate,
 					BatchDatagrams:  nb,
 					CoalesceRecords: 32,
@@ -311,9 +312,9 @@ func TestPacedRateConformance(t *testing.T) {
 // never holds the loop back, pacing before picking must not shrink the
 // sendmmsg batch — the amortisation BatchDatagrams exists for.
 func TestFullBatchesWhenBucketIsNotTheBottleneck(t *testing.T) {
-	conn := &countConn{MemConn: NewMemNetwork(1).Endpoint("tx")}
+	conn := &countConn{MemConn: transport.NewMemNetwork(1).Endpoint("tx")}
 	s, err := NewSender(SenderConfig{
-		Session: 7, SenderID: 1, Conn: conn, Dest: MemAddr("rx"),
+		Session: 7, SenderID: 1, Conn: conn, Dest: transport.MemAddr("rx"),
 		TotalRate:       400e6,
 		BatchDatagrams:  16,
 		CoalesceRecords: 32,

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"softstate/internal/transport"
 )
 
 func TestReliabilityStrings(t *testing.T) {
@@ -50,18 +52,18 @@ func TestReliabilityApplyKnobs(t *testing.T) {
 // (weakly) higher replica consistency within a fixed deadline.
 func TestReliabilitySpectrum(t *testing.T) {
 	measure := func(level Reliability) float64 {
-		nw := NewMemNetwork(51)
+		nw := transport.NewMemNetwork(51)
 		nw.SetLoss("s", "r", 0.4)
 		sc := SenderConfig{
 			Session: 1, SenderID: 1,
-			Conn: nw.Endpoint("s"), Dest: MemAddr("r"),
+			Conn: nw.Endpoint("s"), Dest: transport.MemAddr("r"),
 			TotalRate: 48_000, HotFraction: 0.95,
 			SummaryInterval: 80 * time.Millisecond,
 			TTL:             60 * time.Second,
 		}
 		rc := ReceiverConfig{
 			Session: 1, ReceiverID: 2,
-			Conn: nw.Endpoint("r"), FeedbackDest: MemAddr("s"),
+			Conn: nw.Endpoint("r"), FeedbackDest: transport.MemAddr("s"),
 			NACKWindow: 30 * time.Millisecond,
 		}
 		if err := level.Apply(&sc, &rc); err != nil {

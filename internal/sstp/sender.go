@@ -1,3 +1,13 @@
+// Package sstp implements the Soft State Transport Protocol sketched
+// in section 6 of the paper: an ALF-framed, announce/listen transport
+// in which a sender transmits original data plus periodic namespace
+// summaries, receivers detect divergence by digest comparison and
+// repair it with recursive namespace queries and NACKs, and RTCP-style
+// receiver reports drive a profile-based bandwidth allocator. SSTP
+// provides "a parameterized spectrum of reliability semantics" — from
+// pure open-loop announce/listen (no feedback) to NACK-based reliable
+// transport — over any internal/transport wire: real UDP sockets,
+// framed TCP/TLS streams, or the in-memory lossy network.
 package sstp
 
 import (
@@ -25,6 +35,10 @@ import (
 // single frame exceeds it are still sent whole in their own datagram
 // (IP fragments them, as before coalescing existed).
 const coalesceMTU = 1400
+
+// nowSeconds converts wall time to the float seconds used by the
+// time-agnostic substrates.
+func nowSeconds() float64 { return float64(time.Now().UnixNano()) / 1e9 }
 
 // SenderConfig parameterizes an SSTP publisher.
 type SenderConfig struct {

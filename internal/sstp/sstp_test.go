@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"softstate/internal/profile"
+	"softstate/internal/transport"
 )
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -24,15 +25,15 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-func newPair(t *testing.T, loss float64) (*Sender, *Receiver, *MemNetwork) {
+func newPair(t *testing.T, loss float64) (*Sender, *Receiver, *transport.MemNetwork) {
 	t.Helper()
-	nw := NewMemNetwork(1)
+	nw := transport.NewMemNetwork(1)
 	sc := nw.Endpoint("sender")
 	rc := nw.Endpoint("rcv")
 	nw.SetLoss("sender", "rcv", loss)
 	s, err := NewSender(SenderConfig{
 		Session: 7, SenderID: 1,
-		Conn: sc, Dest: MemAddr("rcv"),
+		Conn: sc, Dest: transport.MemAddr("rcv"),
 		TotalRate:       512_000,
 		SummaryInterval: 80 * time.Millisecond,
 		TTL:             5 * time.Second,
@@ -43,7 +44,7 @@ func newPair(t *testing.T, loss float64) (*Sender, *Receiver, *MemNetwork) {
 	}
 	r, err := NewReceiver(ReceiverConfig{
 		Session: 7, ReceiverID: 2,
-		Conn: rc, FeedbackDest: MemAddr("sender"),
+		Conn: rc, FeedbackDest: transport.MemAddr("sender"),
 		ReportInterval: 150 * time.Millisecond,
 		NACKWindow:     30 * time.Millisecond,
 		Seed:           2,
@@ -58,10 +59,10 @@ func newPair(t *testing.T, loss float64) (*Sender, *Receiver, *MemNetwork) {
 func converged(s *Sender, r *Receiver) bool { return s.RootDigest() == r.RootDigest() }
 
 func TestMemNetworkBasics(t *testing.T) {
-	nw := NewMemNetwork(3)
+	nw := transport.NewMemNetwork(3)
 	a := nw.Endpoint("a")
 	b := nw.Endpoint("b")
-	if _, err := a.WriteTo([]byte("hello"), MemAddr("b")); err != nil {
+	if _, err := a.WriteTo([]byte("hello"), transport.MemAddr("b")); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 64)
@@ -80,17 +81,17 @@ func TestMemNetworkBasics(t *testing.T) {
 }
 
 func TestMemNetworkGroups(t *testing.T) {
-	nw := NewMemNetwork(4)
+	nw := transport.NewMemNetwork(4)
 	s := nw.Endpoint("s")
 	r1 := nw.Endpoint("r1")
 	r2 := nw.Endpoint("r2")
 	nw.Join("g", "s")
 	nw.Join("g", "r1")
 	nw.Join("g", "r2")
-	if _, err := s.WriteTo([]byte("x"), MemAddr("g")); err != nil {
+	if _, err := s.WriteTo([]byte("x"), transport.MemAddr("g")); err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []*MemConn{r1, r2} {
+	for _, c := range []*transport.MemConn{r1, r2} {
 		buf := make([]byte, 8)
 		_ = c.SetReadDeadline(time.Now().Add(time.Second))
 		if _, _, err := c.ReadFrom(buf); err != nil {
@@ -106,11 +107,11 @@ func TestMemNetworkGroups(t *testing.T) {
 }
 
 func TestMemNetworkLoss(t *testing.T) {
-	nw := NewMemNetwork(5)
+	nw := transport.NewMemNetwork(5)
 	a := nw.Endpoint("a")
 	b := nw.Endpoint("b")
 	nw.SetLoss("a", "b", 1)
-	a.WriteTo([]byte("x"), MemAddr("b"))
+	a.WriteTo([]byte("x"), transport.MemAddr("b"))
 	buf := make([]byte, 8)
 	_ = b.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
 	if _, _, err := b.ReadFrom(buf); err == nil {
@@ -127,10 +128,10 @@ func (s strAddr) Network() string { return "str" }
 func (s strAddr) String() string  { return string(s) }
 
 func TestMemConnClosed(t *testing.T) {
-	nw := NewMemNetwork(6)
+	nw := transport.NewMemNetwork(6)
 	a := nw.Endpoint("a")
 	a.Close()
-	if _, err := a.WriteTo([]byte("x"), MemAddr("b")); err == nil {
+	if _, err := a.WriteTo([]byte("x"), transport.MemAddr("b")); err == nil {
 		t.Fatal("write on closed conn succeeded")
 	}
 	if err := a.Close(); err != nil {
@@ -167,12 +168,12 @@ func TestLossyConvergenceViaRepair(t *testing.T) {
 	// Slow link + large values: the cold announce/listen cycle takes
 	// tens of seconds per lap, so convergence within the deadline can
 	// only come from summary-driven NACK repair.
-	nw := NewMemNetwork(8)
+	nw := transport.NewMemNetwork(8)
 	sc := nw.Endpoint("s")
 	rc := nw.Endpoint("r")
 	nw.SetLoss("s", "r", 0.3)
 	s, err := NewSender(SenderConfig{
-		Session: 7, SenderID: 1, Conn: sc, Dest: MemAddr("r"),
+		Session: 7, SenderID: 1, Conn: sc, Dest: transport.MemAddr("r"),
 		TotalRate: 64_000, HotFraction: 0.95,
 		SummaryInterval: 80 * time.Millisecond, TTL: 60 * time.Second,
 	})
@@ -180,7 +181,7 @@ func TestLossyConvergenceViaRepair(t *testing.T) {
 		t.Fatal(err)
 	}
 	r, err := NewReceiver(ReceiverConfig{
-		Session: 7, ReceiverID: 2, Conn: rc, FeedbackDest: MemAddr("s"),
+		Session: 7, ReceiverID: 2, Conn: rc, FeedbackDest: transport.MemAddr("s"),
 		ReportInterval: 150 * time.Millisecond, NACKWindow: 30 * time.Millisecond,
 	})
 	if err != nil {
@@ -212,12 +213,12 @@ func TestLossyConvergenceViaRepair(t *testing.T) {
 func TestOpenLoopListenerConverges(t *testing.T) {
 	// With feedback disabled, cold-queue cycling alone must converge
 	// (the announce/listen end of the reliability spectrum).
-	nw := NewMemNetwork(9)
+	nw := transport.NewMemNetwork(9)
 	sc := nw.Endpoint("s")
 	rc := nw.Endpoint("r")
 	nw.SetLoss("s", "r", 0.3)
 	s, err := NewSender(SenderConfig{
-		Session: 1, SenderID: 1, Conn: sc, Dest: MemAddr("r"),
+		Session: 1, SenderID: 1, Conn: sc, Dest: transport.MemAddr("r"),
 		TotalRate: 512_000, SummaryInterval: 100 * time.Millisecond,
 		TTL: 5 * time.Second,
 	})
@@ -282,11 +283,11 @@ func TestDeletePropagation(t *testing.T) {
 }
 
 func TestSoftStateExpiryWhenSenderDies(t *testing.T) {
-	nw := NewMemNetwork(11)
+	nw := transport.NewMemNetwork(11)
 	sc := nw.Endpoint("s")
 	rc := nw.Endpoint("r")
 	s, err := NewSender(SenderConfig{
-		Session: 2, SenderID: 1, Conn: sc, Dest: MemAddr("r"),
+		Session: 2, SenderID: 1, Conn: sc, Dest: transport.MemAddr("r"),
 		TotalRate: 256_000, TTL: 700 * time.Millisecond,
 		SummaryInterval: 50 * time.Millisecond,
 	})
@@ -294,7 +295,7 @@ func TestSoftStateExpiryWhenSenderDies(t *testing.T) {
 		t.Fatal(err)
 	}
 	r, err := NewReceiver(ReceiverConfig{
-		Session: 2, ReceiverID: 2, Conn: rc, FeedbackDest: MemAddr("s"),
+		Session: 2, ReceiverID: 2, Conn: rc, FeedbackDest: transport.MemAddr("s"),
 		NACKWindow: 30 * time.Millisecond,
 	})
 	if err != nil {
@@ -337,12 +338,12 @@ func TestRecordLifetimeExpiresEverywhere(t *testing.T) {
 }
 
 func TestReceiverReportsDriveSender(t *testing.T) {
-	nw := NewMemNetwork(12)
+	nw := transport.NewMemNetwork(12)
 	sc := nw.Endpoint("s")
 	rc := nw.Endpoint("r")
 	nw.SetLoss("s", "r", 0.4)
 	s, err := NewSender(SenderConfig{
-		Session: 3, SenderID: 1, Conn: sc, Dest: MemAddr("r"),
+		Session: 3, SenderID: 1, Conn: sc, Dest: transport.MemAddr("r"),
 		TotalRate: 400_000, MinRate: 50_000, MaxRate: 400_000,
 		SummaryInterval: 50 * time.Millisecond, TTL: 5 * time.Second,
 	})
@@ -350,7 +351,7 @@ func TestReceiverReportsDriveSender(t *testing.T) {
 		t.Fatal(err)
 	}
 	r, err := NewReceiver(ReceiverConfig{
-		Session: 3, ReceiverID: 2, Conn: rc, FeedbackDest: MemAddr("s"),
+		Session: 3, ReceiverID: 2, Conn: rc, FeedbackDest: transport.MemAddr("s"),
 		ReportInterval: 100 * time.Millisecond, NACKWindow: 30 * time.Millisecond,
 	})
 	if err != nil {
@@ -374,13 +375,13 @@ func TestReceiverReportsDriveSender(t *testing.T) {
 }
 
 func TestMulticastConvergenceAndSuppression(t *testing.T) {
-	nw := NewMemNetwork(13)
-	group := MemAddr("g")
+	nw := transport.NewMemNetwork(13)
+	group := transport.MemAddr("g")
 	sc := nw.Endpoint("s")
 	nw.Join(group, "s")
 	var rcvs []*Receiver
 	for i := 0; i < 3; i++ {
-		name := MemAddr(fmt.Sprintf("r%d", i))
+		name := transport.MemAddr(fmt.Sprintf("r%d", i))
 		c := nw.Endpoint(name)
 		nw.Join(group, name)
 		// Block all data initially so every receiver misses the same
@@ -415,7 +416,7 @@ func TestMulticastConvergenceAndSuppression(t *testing.T) {
 	}
 	time.Sleep(400 * time.Millisecond) // all initial data lost
 	for i := range rcvs {
-		nw.SetLoss("s", MemAddr(fmt.Sprintf("r%d", i)), 0) // heal
+		nw.SetLoss("s", transport.MemAddr(fmt.Sprintf("r%d", i)), 0) // heal
 	}
 	waitFor(t, 20*time.Second, "multicast convergence", func() bool {
 		for _, r := range rcvs {
@@ -439,12 +440,12 @@ func TestMulticastConvergenceAndSuppression(t *testing.T) {
 // that never heard the publisher catches up entirely from its peers
 // after the publisher dies, driven by peer session summaries.
 func TestPeerRepairSurvivesSenderDeath(t *testing.T) {
-	nw := NewMemNetwork(31)
-	group := MemAddr("g")
+	nw := transport.NewMemNetwork(31)
+	group := transport.MemAddr("g")
 	sc := nw.Endpoint("s")
 	nw.Join(group, "s")
 	mkRcv := func(i int) *Receiver {
-		name := MemAddr(fmt.Sprintf("r%d", i))
+		name := transport.MemAddr(fmt.Sprintf("r%d", i))
 		nw.Join(group, name)
 		r, err := NewReceiver(ReceiverConfig{
 			Session: 8, ReceiverID: uint64(20 + i),
@@ -505,19 +506,19 @@ func TestPeerRepairSurvivesSenderDeath(t *testing.T) {
 }
 
 func TestInterestFiltering(t *testing.T) {
-	nw := NewMemNetwork(14)
+	nw := transport.NewMemNetwork(14)
 	sc := nw.Endpoint("s")
 	rc := nw.Endpoint("r")
 	nw.SetLoss("s", "r", 1) // force repair-only delivery
 	s, err := NewSender(SenderConfig{
-		Session: 5, SenderID: 1, Conn: sc, Dest: MemAddr("r"),
+		Session: 5, SenderID: 1, Conn: sc, Dest: transport.MemAddr("r"),
 		TotalRate: 512_000, SummaryInterval: 60 * time.Millisecond, TTL: 10 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	r, err := NewReceiver(ReceiverConfig{
-		Session: 5, ReceiverID: 2, Conn: rc, FeedbackDest: MemAddr("s"),
+		Session: 5, ReceiverID: 2, Conn: rc, FeedbackDest: transport.MemAddr("s"),
 		NACKWindow: 30 * time.Millisecond,
 		Interest: func(path string) bool {
 			return path != "img" && !hasPrefix(path, "img/")
@@ -590,10 +591,10 @@ func TestUDPLoopback(t *testing.T) {
 // own hot/cold queues; under saturation the announcement counts must
 // honour the class weights.
 func TestClassBasedSharing(t *testing.T) {
-	nw := NewMemNetwork(33)
+	nw := transport.NewMemNetwork(33)
 	sc := nw.Endpoint("s")
 	s, err := NewSender(SenderConfig{
-		Session: 10, SenderID: 1, Conn: sc, Dest: MemAddr("r"),
+		Session: 10, SenderID: 1, Conn: sc, Dest: transport.MemAddr("r"),
 		TotalRate: 256_000, TTL: 60 * time.Second,
 		SummaryInterval: time.Hour, // isolate data traffic
 		Classes: []Class{
@@ -629,9 +630,9 @@ func TestClassBasedSharing(t *testing.T) {
 
 // TestClassValidation checks class config errors.
 func TestClassValidation(t *testing.T) {
-	nw := NewMemNetwork(34)
+	nw := transport.NewMemNetwork(34)
 	base := SenderConfig{
-		Session: 11, SenderID: 1, Conn: nw.Endpoint("s"), Dest: MemAddr("r"), TotalRate: 1000,
+		Session: 11, SenderID: 1, Conn: nw.Endpoint("s"), Dest: transport.MemAddr("r"), TotalRate: 1000,
 	}
 	bad := base
 	bad.Classes = []Class{{Name: "", Weight: 1}}
@@ -652,9 +653,9 @@ func TestClassValidation(t *testing.T) {
 
 // TestClassifyDefault checks the path-prefix classifier and fallback.
 func TestClassifyDefault(t *testing.T) {
-	nw := NewMemNetwork(35)
+	nw := transport.NewMemNetwork(35)
 	s, err := NewSender(SenderConfig{
-		Session: 12, SenderID: 1, Conn: nw.Endpoint("s"), Dest: MemAddr("r"), TotalRate: 1000,
+		Session: 12, SenderID: 1, Conn: nw.Endpoint("s"), Dest: transport.MemAddr("r"), TotalRate: 1000,
 		Classes: []Class{{Name: "x", Weight: 1}, {Name: "y", Weight: 1}},
 	})
 	if err != nil {
@@ -689,13 +690,13 @@ func TestProfileDrivenAllocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw := NewMemNetwork(36)
+	nw := transport.NewMemNetwork(36)
 	sc := nw.Endpoint("s")
 	rc := nw.Endpoint("r")
 	nw.SetLoss("s", "r", 0.4)
 	var limited atomic.Bool
 	s, err := NewSender(SenderConfig{
-		Session: 13, SenderID: 1, Conn: sc, Dest: MemAddr("r"),
+		Session: 13, SenderID: 1, Conn: sc, Dest: transport.MemAddr("r"),
 		TotalRate: 64_000, TTL: 30 * time.Second,
 		SummaryInterval: 50 * time.Millisecond,
 		HotFraction:     0.5,
@@ -710,7 +711,7 @@ func TestProfileDrivenAllocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	r, err := NewReceiver(ReceiverConfig{
-		Session: 13, ReceiverID: 2, Conn: rc, FeedbackDest: MemAddr("s"),
+		Session: 13, ReceiverID: 2, Conn: rc, FeedbackDest: transport.MemAddr("s"),
 		ReportInterval: 100 * time.Millisecond, NACKWindow: 30 * time.Millisecond,
 	})
 	if err != nil {
@@ -752,12 +753,12 @@ func TestProfileDrivenAllocation(t *testing.T) {
 // mutated, and wrong-session datagrams while a normal session runs:
 // nothing may panic, and the session must still converge.
 func TestHostileTraffic(t *testing.T) {
-	nw := NewMemNetwork(61)
+	nw := transport.NewMemNetwork(61)
 	sc := nw.Endpoint("s")
 	rc := nw.Endpoint("r")
 	attacker := nw.Endpoint("evil")
 	s, err := NewSender(SenderConfig{
-		Session: 77, SenderID: 1, Conn: sc, Dest: MemAddr("r"),
+		Session: 77, SenderID: 1, Conn: sc, Dest: transport.MemAddr("r"),
 		TotalRate: 256_000, SummaryInterval: 60 * time.Millisecond,
 		TTL: 30 * time.Second,
 	})
@@ -765,7 +766,7 @@ func TestHostileTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	r, err := NewReceiver(ReceiverConfig{
-		Session: 77, ReceiverID: 2, Conn: rc, FeedbackDest: MemAddr("s"),
+		Session: 77, ReceiverID: 2, Conn: rc, FeedbackDest: transport.MemAddr("s"),
 		NACKWindow: 30 * time.Millisecond,
 	})
 	if err != nil {
@@ -810,8 +811,8 @@ func TestHostileTraffic(t *testing.T) {
 				pkt = append([]byte(nil), valid...)
 				pkt[13] ^= 0x01 // flip a session byte
 			}
-			attacker.WriteTo(pkt, MemAddr("s"))
-			attacker.WriteTo(pkt, MemAddr("r"))
+			attacker.WriteTo(pkt, transport.MemAddr("s"))
+			attacker.WriteTo(pkt, transport.MemAddr("r"))
 			time.Sleep(200 * time.Microsecond)
 		}
 	}()
@@ -828,9 +829,9 @@ func TestHostileTraffic(t *testing.T) {
 // protocolEncodeForTest builds one valid session-77 datagram used as
 // mutation fodder.
 func protocolEncodeForTest() []byte {
-	nw := NewMemNetwork(62)
+	nw := transport.NewMemNetwork(62)
 	s, err := NewSender(SenderConfig{
-		Session: 77, SenderID: 9, Conn: nw.Endpoint("x"), Dest: MemAddr("y"), TotalRate: 1000,
+		Session: 77, SenderID: 9, Conn: nw.Endpoint("x"), Dest: transport.MemAddr("y"), TotalRate: 1000,
 	})
 	if err != nil {
 		panic(err)
@@ -845,14 +846,14 @@ func protocolEncodeForTest() []byte {
 }
 
 func TestSenderConfigValidation(t *testing.T) {
-	nw := NewMemNetwork(15)
+	nw := transport.NewMemNetwork(15)
 	c := nw.Endpoint("x")
 	bad := []SenderConfig{
 		{},
 		{Conn: c},
-		{Conn: c, Dest: MemAddr("y")},
-		{Conn: c, Dest: MemAddr("y"), TotalRate: 100, MinRate: 200, MaxRate: 300},
-		{Conn: c, Dest: MemAddr("y"), TotalRate: 100, SummaryInterval: -time.Second},
+		{Conn: c, Dest: transport.MemAddr("y")},
+		{Conn: c, Dest: transport.MemAddr("y"), TotalRate: 100, MinRate: 200, MaxRate: 300},
+		{Conn: c, Dest: transport.MemAddr("y"), TotalRate: 100, SummaryInterval: -time.Second},
 	}
 	for i, cfg := range bad {
 		if _, err := NewSender(cfg); err == nil {
@@ -862,7 +863,7 @@ func TestSenderConfigValidation(t *testing.T) {
 }
 
 func TestReceiverConfigValidation(t *testing.T) {
-	nw := NewMemNetwork(16)
+	nw := transport.NewMemNetwork(16)
 	c := nw.Endpoint("x")
 	if _, err := NewReceiver(ReceiverConfig{}); err == nil {
 		t.Error("empty receiver config accepted")
@@ -876,9 +877,9 @@ func TestReceiverConfigValidation(t *testing.T) {
 }
 
 func TestPublishValidation(t *testing.T) {
-	nw := NewMemNetwork(17)
+	nw := transport.NewMemNetwork(17)
 	s, err := NewSender(SenderConfig{
-		Session: 9, SenderID: 1, Conn: nw.Endpoint("s"), Dest: MemAddr("r"), TotalRate: 1000,
+		Session: 9, SenderID: 1, Conn: nw.Endpoint("s"), Dest: transport.MemAddr("r"), TotalRate: 1000,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"softstate/internal/protocol"
+	"softstate/internal/transport"
 )
 
 // TestCoalescedDeliverySequencePin pins the batching equivalence the
@@ -31,7 +32,7 @@ func TestCoalescedDeliverySequencePin(t *testing.T) {
 		val string
 	}
 	run := func(batched bool) []delivery {
-		nw := NewMemNetwork(11)
+		nw := transport.NewMemNetwork(11)
 		tx := nw.Endpoint("tx")
 		rx := nw.Endpoint("rx")
 		var mu sync.Mutex
@@ -63,7 +64,7 @@ func TestCoalescedDeliverySequencePin(t *testing.T) {
 					n++
 				}
 				pkt := protocol.AppendBatchDatagram(nil, hdr, n, frames)
-				if _, err := tx.WriteTo(pkt, MemAddr("rx")); err != nil {
+				if _, err := tx.WriteTo(pkt, transport.MemAddr("rx")); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -71,7 +72,7 @@ func TestCoalescedDeliverySequencePin(t *testing.T) {
 			for i := range records {
 				hdr.Seq++
 				pkt := protocol.AppendEncode(nil, hdr, &records[i])
-				if _, err := tx.WriteTo(pkt, MemAddr("rx")); err != nil {
+				if _, err := tx.WriteTo(pkt, transport.MemAddr("rx")); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -104,12 +105,12 @@ func TestCoalescedDeliverySequencePin(t *testing.T) {
 // sender holding the same records, and the mismatched-stripe pair
 // still converges to digest equality over the wire.
 func TestStripedSenderReceiverConvergence(t *testing.T) {
-	nw := NewMemNetwork(21)
+	nw := transport.NewMemNetwork(21)
 	sc := nw.Endpoint("sender")
 	rc := nw.Endpoint("rcv")
 	s, err := NewSender(SenderConfig{
 		Session: 7, SenderID: 1,
-		Conn: sc, Dest: MemAddr("rcv"),
+		Conn: sc, Dest: transport.MemAddr("rcv"),
 		TotalRate:       2_000_000,
 		SummaryInterval: 60 * time.Millisecond,
 		TTL:             30 * time.Second,
@@ -122,10 +123,10 @@ func TestStripedSenderReceiverConvergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Unsharded reference: never started, only holds the same records.
-	refNW := NewMemNetwork(22)
+	refNW := transport.NewMemNetwork(22)
 	ref, err := NewSender(SenderConfig{
 		Session: 7, SenderID: 1,
-		Conn: refNW.Endpoint("ref"), Dest: MemAddr("nowhere"),
+		Conn: refNW.Endpoint("ref"), Dest: transport.MemAddr("nowhere"),
 		TotalRate: 2_000_000,
 		TTL:       30 * time.Second,
 		Seed:      1,
@@ -136,7 +137,7 @@ func TestStripedSenderReceiverConvergence(t *testing.T) {
 	}
 	r, err := NewReceiver(ReceiverConfig{
 		Session: 7, ReceiverID: 2,
-		Conn: rc, FeedbackDest: MemAddr("sender"),
+		Conn: rc, FeedbackDest: transport.MemAddr("sender"),
 		ReportInterval: 150 * time.Millisecond,
 		NACKWindow:     30 * time.Millisecond,
 		Stripes:        1,
@@ -184,12 +185,12 @@ func TestStripedSenderReceiverConvergence(t *testing.T) {
 // default (unsharded, uncoalesced) sender against a 4-stripe receiver
 // must converge to the same root digest.
 func TestStripedReceiverAgainstUnshardedSender(t *testing.T) {
-	nw := NewMemNetwork(31)
+	nw := transport.NewMemNetwork(31)
 	sc := nw.Endpoint("sender")
 	rc := nw.Endpoint("rcv")
 	s, err := NewSender(SenderConfig{
 		Session: 7, SenderID: 1,
-		Conn: sc, Dest: MemAddr("rcv"),
+		Conn: sc, Dest: transport.MemAddr("rcv"),
 		TotalRate:       1_000_000,
 		SummaryInterval: 60 * time.Millisecond,
 		TTL:             30 * time.Second,
@@ -200,7 +201,7 @@ func TestStripedReceiverAgainstUnshardedSender(t *testing.T) {
 	}
 	r, err := NewReceiver(ReceiverConfig{
 		Session: 7, ReceiverID: 2,
-		Conn: rc, FeedbackDest: MemAddr("sender"),
+		Conn: rc, FeedbackDest: transport.MemAddr("sender"),
 		ReportInterval: 150 * time.Millisecond,
 		NACKWindow:     30 * time.Millisecond,
 		Stripes:        4,

@@ -106,7 +106,7 @@ func TestResolveSchemeMismatch(t *testing.T) {
 
 func TestBindMemScheme(t *testing.T) {
 	nw := NewMemNetwork(1)
-	tr, conn, err := Bind("mem://a", "udp", Options{Mem: nw})
+	tr, conn, err := bind("mem://a", "udp", Options{Mem: nw})
 	if err != nil {
 		t.Fatal(err)
 	}

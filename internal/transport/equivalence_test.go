@@ -25,7 +25,7 @@ const (
 )
 
 // fanout emulates multicast over unicast: every WriteTo is duplicated
-// to each receiver destination (the same trick ssload -udp uses).
+// to each receiver destination.
 type fanout struct {
 	net.PacketConn
 	dests []net.Addr
@@ -40,8 +40,8 @@ func (f *fanout) WriteTo(b []byte, _ net.Addr) (int, error) {
 	return n, err
 }
 
-// runQuickProfile runs the ssload quick profile (64 records, 2
-// receivers, 1s churn) over the given conns and returns the sender's
+// runQuickProfile runs a quick profile (64 records, 2 receivers, 1s
+// churn) over the given conns and returns the sender's
 // converged root digest after asserting every receiver reached it.
 func runQuickProfile(t *testing.T, name string, senderConn transport.Conn, rcvConns []transport.Conn, dest, feedback net.Addr) namespace.Digest {
 	t.Helper()

@@ -65,7 +65,7 @@ func NewMemNetwork(seed int64) *MemNetwork {
 func (n *MemNetwork) Overflows() uint64 { return n.overflows.Load() }
 
 // Transport returns the network as a Transport with scheme "mem", so
-// in-process topologies plug into the same Bind/Resolve path as real
+// in-process topologies plug into the same Listen/Resolve path as real
 // sockets.
 func (n *MemNetwork) Transport() Transport { return memTransport{n} }
 

@@ -96,7 +96,7 @@ func TestTLSStreamVerified(t *testing.T) {
 	if err := os.WriteFile(certFile, certPEM, 0o600); err != nil {
 		t.Fatal(err)
 	}
-	opts, err := TLSOptions("", "", certFile, "localhost")
+	opts, err := tlsOptions("", "", certFile, "localhost")
 	if err != nil {
 		t.Fatal(err)
 	}

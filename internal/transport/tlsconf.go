@@ -31,7 +31,7 @@ func clientTLSConfig(c *TLSConfig) *tls.Config {
 	if c == nil {
 		// Lab default: encrypted but unauthenticated, like an ad-hoc
 		// self-signed deployment. Pass Options.TLSClient with RootCAs
-		// (see TLSOptions) to verify peers.
+		// (see Flags) to verify peers.
 		return &tls.Config{InsecureSkipVerify: true}
 	}
 	return c.Clone()
@@ -83,8 +83,8 @@ func GenerateSelfSigned(commonName string) (tls.Certificate, []byte, error) {
 	return cert, certPEM, nil
 }
 
-// TLSOptions assembles Options' TLS half from PEM files — the one
-// flag-parsing path the daemons share.
+// tlsOptions assembles Options' TLS half from the PEM files the
+// daemons' -tls* flags name (see Flags).
 //
 //   - certFile/keyFile: this node's certificate for tls listeners.
 //     Empty generates an ephemeral self-signed pair at Listen time.
@@ -95,7 +95,7 @@ func GenerateSelfSigned(commonName string) (tls.Certificate, []byte, error) {
 //   - serverName overrides the name dialed certificates are checked
 //     against (useful when dialing by IP with a CA that issued
 //     hostname certs).
-func TLSOptions(certFile, keyFile, caFile, serverName string) (Options, error) {
+func tlsOptions(certFile, keyFile, caFile, serverName string) (Options, error) {
 	var o Options
 	server := &tls.Config{}
 	client := &tls.Config{InsecureSkipVerify: true}

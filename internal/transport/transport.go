@@ -146,10 +146,10 @@ func ParseEndpointDefault(spec, defScheme string) (Endpoint, error) {
 	return e, nil
 }
 
-// Bind parses spec (bare addresses defaulting to defScheme),
-// constructs its transport under o, and listens — the one setup path
-// every daemon shares.
-func Bind(spec, defScheme string, o Options) (Transport, Conn, error) {
+// bind parses spec (bare addresses defaulting to defScheme),
+// constructs its transport under o, and listens — the setup path
+// behind Flags.Bind.
+func bind(spec, defScheme string, o Options) (Transport, Conn, error) {
 	e, err := ParseEndpointDefault(spec, defScheme)
 	if err != nil {
 		return nil, nil, err
