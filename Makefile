@@ -35,11 +35,13 @@ staticcheck:
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
 
-## fuzzsmoke: a short coverage-guided run of the wire-codec fuzz
-## target pinning AppendEncode byte-identical to Encode across the
-## header scope field and every message type.
+## fuzzsmoke: short coverage-guided runs of the wire-codec fuzz
+## targets: AppendEncode byte-identical to Encode across the header
+## scope field and every message type, then a long-lived Decoder
+## agreeing with a fresh one.
 fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz=FuzzAppendEncode -fuzztime=10s ./internal/protocol
+	$(GO) test -run='^$$' -fuzz=FuzzDecoderReuse -fuzztime=5s ./internal/protocol
 
 build:
 	$(GO) build ./...

@@ -51,6 +51,7 @@ import (
 	"time"
 
 	"softstate/internal/congestion"
+	"softstate/internal/descent"
 	"softstate/internal/namespace"
 	"softstate/internal/obs"
 	"softstate/internal/protocol"
@@ -614,34 +615,19 @@ func (n *Node) onSummary(hdr protocol.Header, m *protocol.Summary, from net.Addr
 	n.send(&protocol.Query{Path: ""}, from, 0)
 }
 
-// onQuery answers a descent query with the node's child digests,
-// chunked to the wire's MaxBatch. A path we do not hold answers with
-// an empty listing — the peer then knows the whole branch is ours to
-// pull from it, or theirs to drop.
+// onQuery answers a descent query with the node's child digests. A
+// path we do not hold answers with an empty listing — the peer then
+// knows the whole branch is ours to pull from it, or theirs to drop.
 func (n *Node) onQuery(m *protocol.Query, from net.Addr) {
 	n.mu.Lock()
-	kids, err := n.ns.AppendChildren(n.kids[:0], m.Path)
+	kids, _ := n.ns.AppendChildren(n.kids[:0], m.Path)
 	n.kids = kids[:0]
-	resp := &protocol.Digests{Path: m.Path}
-	if err == nil && len(kids) > 0 {
-		resp.Children = make([]protocol.ChildDigest, len(kids))
-		for i, c := range kids {
-			resp.Children[i] = protocol.ChildDigest{Name: c.Name, Leaf: c.Leaf, Digest: c.Digest}
-		}
-	}
+	resp := descent.Answer(nil, m.Path, kids)
 	n.stats.QueriesServed++
 	n.mu.Unlock()
 	n.m.queriesServed.Inc()
-	if len(resp.Children) <= protocol.MaxBatch {
-		n.send(resp, from, 0)
-		return
-	}
-	for at := 0; at < len(resp.Children); at += protocol.MaxBatch {
-		end := at + protocol.MaxBatch
-		if end > len(resp.Children) {
-			end = len(resp.Children)
-		}
-		n.send(&protocol.Digests{Path: m.Path, Children: resp.Children[at:end]}, from, 0)
+	for i := range resp {
+		n.send(&resp[i], from, 0)
 	}
 }
 
@@ -653,35 +639,21 @@ func (n *Node) onQuery(m *protocol.Query, from net.Addr) {
 // own symmetric descent pulls them.
 func (n *Node) onDigests(m *protocol.Digests, from net.Addr) {
 	var pulls []string
-	var deeper []string
 	var refute []protocol.Data
 	n.mu.Lock()
-	for i := range m.Children {
-		c := &m.Children[i]
-		childPath := c.Name
-		if m.Path != "" {
-			childPath = m.Path + "/" + c.Name
-		}
-		if c.Leaf {
-			if t, ok := n.tombs[childPath]; ok {
-				refute = append(refute, protocol.Data{Key: childPath, Ver: t.ver, Deleted: true})
-				continue
-			}
-			local, err := n.ns.Digest(childPath)
-			if err == nil && local == namespace.Digest(c.Digest) {
-				continue
-			}
-			if n.budget <= 0 {
-				continue // next round's descent picks the rest up
-			}
-			n.budget--
-			pulls = append(pulls, childPath)
+	local, _ := n.ns.AppendChildren(n.kids[:0], m.Path)
+	n.kids = local[:0]
+	leaves, deeper := descent.Step(m, local, nil, nil)
+	for _, key := range leaves {
+		if t, ok := n.tombs[key]; ok {
+			refute = append(refute, protocol.Data{Key: key, Ver: t.ver, Deleted: true})
 			continue
 		}
-		local, err := n.ns.Digest(childPath)
-		if err != nil || local != namespace.Digest(c.Digest) {
-			deeper = append(deeper, childPath)
+		if n.budget <= 0 {
+			continue // next round's descent picks the rest up
 		}
+		n.budget--
+		pulls = append(pulls, key)
 	}
 	n.stats.NACKsSent += len(pulls)
 	n.stats.QueriesSent += len(deeper)

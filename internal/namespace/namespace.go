@@ -390,27 +390,27 @@ func (t *Tree) Len() int {
 // the local tree (the receiver must fetch the whole branch); `differ`
 // lists names present on both sides with mismatching digests.
 func (t *Tree) DiffChildren(path string, remote []Child) (differ, missingLocally []string, err error) {
-	local, err := t.Children(path)
-	if err != nil {
-		// The whole node is missing locally: everything remote is new.
-		for _, r := range remote {
-			missingLocally = append(missingLocally, r.Name)
-		}
-		return nil, missingLocally, nil
-	}
-	byName := make(map[string]Child, len(local))
-	for _, c := range local {
-		byName[c.Name] = c
-	}
+	local, _ := t.Children(path) // no node at path: everything remote is new
 	for _, r := range remote {
-		l, ok := byName[r.Name]
-		if !ok {
+		switch have, differs := CompareChild(local, r.Name, r.Digest); {
+		case !have:
 			missingLocally = append(missingLocally, r.Name)
-			continue
-		}
-		if l.Digest != r.Digest {
+		case differs:
 			differ = append(differ, r.Name)
 		}
 	}
 	return differ, missingLocally, nil
+}
+
+// CompareChild is the digest comparison of the descent: it looks name
+// up in local, one node's children sorted by name as Children returns
+// them, and reports whether the node holds that child and whether a
+// remote child of that name with digest d differs from it (a child
+// held nowhere locally always differs).
+func CompareChild(local []Child, name string, d Digest) (have, differs bool) {
+	i := sort.Search(len(local), func(i int) bool { return local[i].Name >= name })
+	if i == len(local) || local[i].Name != name {
+		return false, true
+	}
+	return true, local[i].Digest != d
 }

@@ -43,45 +43,6 @@ func (d *DataBatch) encodeBody(dst []byte) []byte {
 	return dst
 }
 
-func (d *DataBatch) decodeBody(b []byte) error {
-	if len(b) < batchCountLen {
-		return ErrShort
-	}
-	cnt := int(binary.BigEndian.Uint16(b))
-	b = b[batchCountLen:]
-	if cnt > MaxBatch {
-		return ErrOversize
-	}
-	if cnt == 0 {
-		return ErrBadPayload
-	}
-	if cap(d.Records) >= cnt {
-		d.Records = d.Records[:0]
-	} else {
-		d.Records = make([]Data, 0, cnt)
-	}
-	for i := 0; i < cnt; i++ {
-		if len(b) < 2 {
-			return ErrShort
-		}
-		n := int(binary.BigEndian.Uint16(b))
-		b = b[2:]
-		if len(b) < n {
-			return ErrShort
-		}
-		var rec Data
-		if err := rec.decodeBody(b[:n]); err != nil {
-			return err
-		}
-		d.Records = append(d.Records, rec)
-		b = b[n:]
-	}
-	if len(b) != 0 {
-		return ErrTrailing
-	}
-	return nil
-}
-
 // BatchRecordSize returns the wire size one record contributes to a
 // batch body (its frame-length prefix plus the Data body), so senders
 // can budget a coalesced datagram against the MTU before encoding.

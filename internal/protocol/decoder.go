@@ -1,13 +1,14 @@
-// Decoder: an allocation-free view of the decode path for receivers.
+// Decoder: the package's one decode path, allocation-free in steady
+// state.
 //
-// The package-level Decode allocates a fresh message, a fresh key
-// string, and a fresh value copy per datagram — fine for control
-// traffic, ruinous at announcement rates. A Decoder amortizes all
-// three: message structs are reused across calls, key and path strings
-// are interned in a bounded map (the map lookup on a []byte key
-// compiles to zero allocations), and Data values are copied into an
-// arena that is re-sliced per call. The returned Message and any
-// values inside it are valid only until the next Decode call.
+// A receive loop decodes every datagram it hears, so a Decoder
+// amortizes what a naive parse pays per datagram: message structs are
+// reused across calls, key and path strings are interned in a bounded
+// map (the map lookup on a []byte key compiles to zero allocations),
+// and Data values are copied into an arena that is re-sliced per call.
+// The returned Message and any values inside it are valid only until
+// the next Decode call. The package-level Decode runs a throwaway
+// Decoder for callers that keep what they decode.
 package protocol
 
 import "encoding/binary"
@@ -54,10 +55,12 @@ func (d *Decoder) intern(b []byte) string {
 	return s
 }
 
-// Decode parses a datagram like the package-level Decode but reuses
-// the Decoder's internal structs and buffers. The returned Message
-// (including key strings and value slices reachable from it) is only
-// valid until the next call.
+// Decode parses a datagram into its header and message, reusing the
+// Decoder's internal structs and buffers. Every field is bounds-checked
+// and the body must be consumed exactly, so a malformed datagram never
+// panics or over-allocates. The returned Message (including key
+// strings and value slices reachable from it) is only valid until the
+// next call.
 func (d *Decoder) Decode(b []byte) (Header, Message, error) {
 	var hdr Header
 	if len(b) < headerLen {
@@ -137,8 +140,8 @@ func (d *Decoder) Decode(b []byte) (Header, Message, error) {
 }
 
 // decodeData parses a Data body into rec with the key interned and the
-// value placed in the arena. Semantically identical to Data.decodeBody
-// (pinned by test).
+// value placed in the arena. It parses standalone Data datagrams and
+// every record framed inside a DataBatch alike.
 func (d *Decoder) decodeData(rec *Data, b []byte) error {
 	if len(b) < 1 {
 		return ErrShort
@@ -228,8 +231,9 @@ func (d *Decoder) decodeBatch(b []byte) error {
 	return nil
 }
 
-// readStringView is readString without the string materialization: it
-// returns a view into b for the caller to intern or copy.
+// readStringView reads a uint16-length-prefixed string of at most
+// limit bytes and returns a view into b for the caller to intern, plus
+// the rest of b.
 func readStringView(b []byte, limit int) ([]byte, []byte, error) {
 	if len(b) < 2 {
 		return nil, nil, ErrShort
@@ -246,9 +250,9 @@ func readStringView(b []byte, limit int) ([]byte, []byte, error) {
 }
 
 // decodeNACK parses a NACK body reusing d.nack.Keys with every key
-// interned. Semantically identical to NACK.decodeBody (pinned by
-// test): lost keys repeat across NACK rounds, so the sender's receive
-// loop pays one string allocation per distinct key, not per datagram.
+// interned: lost keys repeat across NACK rounds, so the sender's
+// receive loop pays one string allocation per distinct key, not per
+// datagram.
 func (d *Decoder) decodeNACK(b []byte) error {
 	if len(b) < 2 {
 		return ErrShort
@@ -281,8 +285,7 @@ func (d *Decoder) decodeNACK(b []byte) error {
 }
 
 // decodeDigests parses a Digests body reusing d.digests.Children with
-// the path and child names interned. Semantically identical to
-// Digests.decodeBody (pinned by test).
+// the path and child names interned.
 func (d *Decoder) decodeDigests(b []byte) error {
 	p, rest, err := readStringView(b, MaxKeyLen)
 	if err != nil {

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -91,6 +92,29 @@ func FuzzAppendEncode(f *testing.F) {
 		}
 		if again := AppendEncode(buf[:0], h2, msg2); !bytes.Equal(again, want) {
 			t.Fatalf("re-encode not a fixed point:\n%x\n%x", again, want)
+		}
+	})
+}
+
+// FuzzDecoderReuse pins the live decode path against state left over
+// from earlier datagrams: a long-lived Decoder that has just decoded a
+// different datagram must return the same header, error and message
+// as a fresh Decoder. The seeds cover all nine message types.
+func FuzzDecoderReuse(f *testing.F) {
+	seeds := fuzzSeeds()
+	for _, b := range seeds {
+		f.Add(b)
+	}
+	long := NewDecoder()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		_, _, _ = long.Decode(seeds[len(data)%len(seeds)])
+		h, msg, err := long.Decode(data)
+		h2, msg2, err2 := NewDecoder().Decode(data)
+		if h != h2 || err != err2 {
+			t.Fatalf("reused decoder: %+v, %v; fresh decoder: %+v, %v", h, err, h2, err2)
+		}
+		if got, want := fmt.Sprintf("%+v", msg), fmt.Sprintf("%+v", msg2); got != want {
+			t.Fatalf("reused decoder: %s\nfresh decoder:  %s", got, want)
 		}
 	})
 }

@@ -102,8 +102,6 @@ type Message interface {
 	// encodeBody appends the body (everything after the common
 	// header) to dst.
 	encodeBody(dst []byte) []byte
-	// decodeBody parses the body; it must consume all of b.
-	decodeBody(b []byte) error
 }
 
 // Header is the common prefix of every message.
@@ -181,51 +179,12 @@ func PeekSession(b []byte) (uint64, bool) {
 	return binary.BigEndian.Uint64(b[7:]), true
 }
 
-// Decode parses a datagram into its header and message.
+// Decode parses a datagram into its header and message. It runs the
+// one decoder, Decoder, through a throwaway instance, so the result is
+// the caller's to keep.
 func Decode(b []byte) (Header, Message, error) {
-	var hdr Header
-	if len(b) < headerLen {
-		return hdr, nil, ErrShort
-	}
-	if binary.BigEndian.Uint32(b) != Magic {
-		return hdr, nil, ErrMagic
-	}
-	if b[4] != Version {
-		return hdr, nil, ErrVersion
-	}
-	t := MsgType(b[5])
-	hdr.Scope = b[6]
-	hdr.Session = binary.BigEndian.Uint64(b[7:])
-	hdr.Sender = binary.BigEndian.Uint64(b[15:])
-	hdr.Seq = binary.BigEndian.Uint32(b[23:])
-	body := b[headerLen:]
-	var msg Message
-	switch t {
-	case TypeData:
-		msg = &Data{}
-	case TypeSummary:
-		msg = &Summary{}
-	case TypeNACK:
-		msg = &NACK{}
-	case TypeQuery:
-		msg = &Query{}
-	case TypeDigests:
-		msg = &Digests{}
-	case TypeReport:
-		msg = &Report{}
-	case TypeGoodbye:
-		msg = &Goodbye{}
-	case TypeHeartbit:
-		msg = &Heartbeat{}
-	case TypeDataBatch:
-		msg = &DataBatch{}
-	default:
-		return hdr, nil, ErrType
-	}
-	if err := msg.decodeBody(body); err != nil {
-		return hdr, nil, err
-	}
-	return hdr, msg, nil
+	d := Decoder{names: make(map[string]string)}
+	return d.Decode(b)
 }
 
 // --- primitive helpers ---
@@ -235,41 +194,9 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-func readString(b []byte, limit int) (string, []byte, error) {
-	if len(b) < 2 {
-		return "", nil, ErrShort
-	}
-	n := int(binary.BigEndian.Uint16(b))
-	b = b[2:]
-	if n > limit {
-		return "", nil, ErrOversize
-	}
-	if len(b) < n {
-		return "", nil, ErrShort
-	}
-	return string(b[:n]), b[n:], nil
-}
-
 func appendBytes32(dst []byte, p []byte) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(p)))
 	return append(dst, p...)
-}
-
-func readBytes32(b []byte, limit int) ([]byte, []byte, error) {
-	if len(b) < 4 {
-		return nil, nil, ErrShort
-	}
-	n := int(binary.BigEndian.Uint32(b))
-	b = b[4:]
-	if n > limit {
-		return nil, nil, ErrOversize
-	}
-	if len(b) < n {
-		return nil, nil, ErrShort
-	}
-	out := make([]byte, n)
-	copy(out, b[:n])
-	return out, b[n:], nil
 }
 
 // --- Data ---
@@ -302,39 +229,6 @@ func (d *Data) encodeBody(dst []byte) []byte {
 	return appendBytes32(dst, d.Value)
 }
 
-func (d *Data) decodeBody(b []byte) error {
-	if len(b) < 1 {
-		return ErrShort
-	}
-	d.Deleted = b[0] == 1
-	if b[0] > 1 {
-		return ErrBadPayload
-	}
-	b = b[1:]
-	var err error
-	d.Key, b, err = readString(b, MaxKeyLen)
-	if err != nil {
-		return err
-	}
-	if d.Key == "" {
-		return ErrBadPayload
-	}
-	if len(b) < 20 {
-		return ErrShort
-	}
-	d.Ver = binary.BigEndian.Uint64(b)
-	d.TTLms = binary.BigEndian.Uint32(b[8:])
-	d.BornMs = binary.BigEndian.Uint64(b[12:])
-	d.Value, b, err = readBytes32(b[20:], MaxValueLen)
-	if err != nil {
-		return err
-	}
-	if len(b) != 0 {
-		return ErrTrailing
-	}
-	return nil
-}
-
 // --- Summary ---
 
 // Summary is a "cold" announcement carrying the digest of a namespace
@@ -355,23 +249,6 @@ func (s *Summary) encodeBody(dst []byte) []byte {
 	return binary.BigEndian.AppendUint32(dst, s.Count)
 }
 
-func (s *Summary) decodeBody(b []byte) error {
-	var err error
-	s.Path, b, err = readString(b, MaxKeyLen)
-	if err != nil {
-		return err
-	}
-	if len(b) != DigestLen+4 {
-		if len(b) < DigestLen+4 {
-			return ErrShort
-		}
-		return ErrTrailing
-	}
-	copy(s.Digest[:], b[:DigestLen])
-	s.Count = binary.BigEndian.Uint32(b[DigestLen:])
-	return nil
-}
-
 // --- NACK ---
 
 // NACK requests retransmission of specific keys.
@@ -390,34 +267,6 @@ func (n *NACK) encodeBody(dst []byte) []byte {
 	return dst
 }
 
-func (n *NACK) decodeBody(b []byte) error {
-	if len(b) < 2 {
-		return ErrShort
-	}
-	cnt := int(binary.BigEndian.Uint16(b))
-	b = b[2:]
-	if cnt > MaxBatch {
-		return ErrOversize
-	}
-	n.Keys = make([]string, 0, cnt)
-	var err error
-	for i := 0; i < cnt; i++ {
-		var k string
-		k, b, err = readString(b, MaxKeyLen)
-		if err != nil {
-			return err
-		}
-		if k == "" {
-			return ErrBadPayload
-		}
-		n.Keys = append(n.Keys, k)
-	}
-	if len(b) != 0 {
-		return ErrTrailing
-	}
-	return nil
-}
-
 // --- Query ---
 
 // Query asks the sender (or any session participant) for the child
@@ -430,18 +279,6 @@ type Query struct {
 func (*Query) Type() MsgType { return TypeQuery }
 
 func (q *Query) encodeBody(dst []byte) []byte { return appendString(dst, q.Path) }
-
-func (q *Query) decodeBody(b []byte) error {
-	var err error
-	q.Path, b, err = readString(b, MaxKeyLen)
-	if err != nil {
-		return err
-	}
-	if len(b) != 0 {
-		return ErrTrailing
-	}
-	return nil
-}
 
 // --- Digests ---
 
@@ -475,47 +312,6 @@ func (d *Digests) encodeBody(dst []byte) []byte {
 		dst = append(dst, c.Digest[:]...)
 	}
 	return dst
-}
-
-func (d *Digests) decodeBody(b []byte) error {
-	var err error
-	d.Path, b, err = readString(b, MaxKeyLen)
-	if err != nil {
-		return err
-	}
-	if len(b) < 2 {
-		return ErrShort
-	}
-	cnt := int(binary.BigEndian.Uint16(b))
-	b = b[2:]
-	if cnt > MaxBatch {
-		return ErrOversize
-	}
-	d.Children = make([]ChildDigest, 0, cnt)
-	for i := 0; i < cnt; i++ {
-		if len(b) < 1 {
-			return ErrShort
-		}
-		var c ChildDigest
-		if b[0] > 1 {
-			return ErrBadPayload
-		}
-		c.Leaf = b[0] == 1
-		c.Name, b, err = readString(b[1:], MaxKeyLen)
-		if err != nil {
-			return err
-		}
-		if len(b) < DigestLen {
-			return ErrShort
-		}
-		copy(c.Digest[:], b[:DigestLen])
-		b = b[DigestLen:]
-		d.Children = append(d.Children, c)
-	}
-	if len(b) != 0 {
-		return ErrTrailing
-	}
-	return nil
 }
 
 // --- Report ---

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"softstate/internal/protocol"
 	"softstate/internal/transport"
 )
 
@@ -166,5 +167,47 @@ func TestOversizedPublishRejected(t *testing.T) {
 	big := make([]byte, 70_000)
 	if err := s.Publish("big", big, 0); err == nil {
 		t.Error("oversized value accepted")
+	}
+}
+
+// TestQueryListsEveryChild: a Query for a node wider than one Digests
+// datagram is answered with every child, split across datagrams, so a
+// receiver can NACK a missing leaf wherever it sorts.
+func TestQueryListsEveryChild(t *testing.T) {
+	const width = 600
+	nw := transport.NewMemNetwork(76)
+	qc := nw.Endpoint("q")
+	s, err := NewSender(SenderConfig{
+		Session: 1, SenderID: 1, Conn: nw.Endpoint("s"), Dest: transport.MemAddr("q"), TotalRate: 1e6,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.StartDriven() // feedback loop only: no announcements reach q
+	defer s.Close()
+	for i := 0; i < width; i++ {
+		if err := s.Publish(fmt.Sprintf("p/k%03d", i), []byte("v"), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	query := protocol.Encode(protocol.Header{Session: 1, Sender: 2, Scope: 1}, &protocol.Query{Path: "p"})
+	if _, err := qc.WriteTo(query, transport.MemAddr("s")); err != nil {
+		t.Fatal(err)
+	}
+	listed := make(map[string]bool)
+	buf := make([]byte, 65536)
+	_ = qc.SetReadDeadline(time.Now().Add(3 * time.Second))
+	for len(listed) < width {
+		n, _, err := qc.ReadFrom(buf)
+		if err != nil {
+			t.Fatalf("Digests replies listed %d of %d children: %v", len(listed), width, err)
+		}
+		if _, msg, err := protocol.Decode(buf[:n]); err == nil {
+			if d, ok := msg.(*protocol.Digests); ok && d.Path == "p" {
+				for _, c := range d.Children {
+					listed[c.Name] = true
+				}
+			}
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"softstate/internal/descent"
 	"softstate/internal/feedback"
 	"softstate/internal/namespace"
 	"softstate/internal/netio"
@@ -172,9 +173,8 @@ type ReceiverStats struct {
 // enqueue callbacks under both, preserving per-key causal order), but
 // r.mu must never be held while taking a stripe lock.
 type recvStripe struct {
-	mu  sync.Mutex
+	nsStripe
 	sub *table.Subscriber
-	ns  *namespace.Tree
 }
 
 // Receiver is an SSTP subscriber.
@@ -182,6 +182,7 @@ type Receiver struct {
 	cfg ReceiverConfig
 
 	stripes []*recvStripe
+	ns      nsStripes // the stripes' namespace halves
 
 	// replicaN counts live replica entries across stripes; atomic so
 	// stripe-locked paths can maintain it without touching r.mu.
@@ -222,12 +223,12 @@ type Receiver struct {
 	cbFree []appCallback
 	cbKick chan struct{}
 
-	// Digest-diff reuse, owned by recvLoop (onDigests runs there and
-	// nowhere else): the remote child listing, the name→leaf index,
-	// and the NACK key accumulator are recycled across datagrams.
-	dRemote []namespace.Child
-	dLeaf   map[string]bool
-	dNacks  []string
+	// Descent-step reuse, owned by recvLoop (onDigests runs there and
+	// nowhere else): the local child listing and the NACK and query
+	// path accumulators are recycled across datagrams.
+	dLocal   []namespace.Child
+	dNacks   []string
+	dQueries []string
 
 	done chan struct{}
 	wg   sync.WaitGroup
@@ -263,8 +264,9 @@ func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 	}
 	r.fbDest.Store(&cfg.FeedbackDest)
 	r.stripes = make([]*recvStripe, cfg.Stripes)
+	r.ns = make(nsStripes, cfg.Stripes)
 	for i := range r.stripes {
-		st := &recvStripe{sub: table.NewSubscriber(), ns: namespace.New(namespace.HashSHA256)}
+		st := &recvStripe{nsStripe: nsStripe{ns: namespace.New(namespace.HashSHA256)}, sub: table.NewSubscriber()}
 		st.sub.OnExpire = func(e *table.Entry) {
 			// Called with the stripe lock held (Sweep or flush); r.mu is
 			// taken nested for the global bookkeeping — the allowed order.
@@ -281,7 +283,7 @@ func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 			}
 			r.mu.Unlock()
 		}
-		r.stripes[i] = st
+		r.stripes[i], r.ns[i] = st, &st.nsStripe
 	}
 	return r, nil
 }
@@ -325,7 +327,7 @@ func (r *Receiver) peerSummaryLoop() {
 		case <-r.done:
 			return
 		case <-tick.C:
-			digest, count := r.rootSummary()
+			digest, count := r.ns.rootSummary()
 			if count == 0 {
 				continue // nothing to advertise yet
 			}
@@ -387,31 +389,8 @@ func (r *Receiver) Snapshot() map[string][]byte {
 // sender's digest proves convergence. With multiple stripes it is the
 // combined root, byte-identical to an unsharded tree's.
 func (r *Receiver) RootDigest() namespace.Digest {
-	d, _ := r.rootSummary()
+	d, _ := r.ns.rootSummary()
 	return d
-}
-
-// rootSummary combines the per-stripe namespace slices into the root
-// digest plus the total leaf count (see Sender.rootSummary).
-func (r *Receiver) rootSummary() (namespace.Digest, int) {
-	if len(r.stripes) == 1 {
-		st := r.stripes[0]
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		return st.ns.RootDigest(), st.ns.Len()
-	}
-	groups := make([][]namespace.Child, 0, len(r.stripes))
-	count := 0
-	for _, st := range r.stripes {
-		st.mu.Lock()
-		kids, _ := st.ns.Children("")
-		count += st.ns.Len()
-		st.mu.Unlock()
-		if len(kids) > 0 {
-			groups = append(groups, kids)
-		}
-	}
-	return namespace.CombineRoot(namespace.HashSHA256, namespace.CombineChildren(groups...)), count
 }
 
 // Len returns the number of replica entries.
@@ -626,35 +605,10 @@ func (r *Receiver) schedulePeerData(key string) {
 	})
 }
 
-// childrenAt lists the replica's namespace children under path,
-// merging the per-stripe trees' top-level children at the root.
-func (r *Receiver) childrenAt(path string) ([]namespace.Child, bool) {
-	if path == "" && len(r.stripes) > 1 {
-		groups := make([][]namespace.Child, 0, len(r.stripes))
-		for _, st := range r.stripes {
-			st.mu.Lock()
-			kids, err := st.ns.Children("")
-			st.mu.Unlock()
-			if err == nil && len(kids) > 0 {
-				groups = append(groups, kids)
-			}
-		}
-		return namespace.CombineChildren(groups...), true
-	}
-	st := r.stripeFor(path)
-	st.mu.Lock()
-	kids, err := st.ns.Children(path)
-	st.mu.Unlock()
-	if err != nil {
-		return nil, false
-	}
-	return kids, true
-}
-
 // schedulePeerDigests slots a digest response for path from this
 // replica. Caller must hold no locks.
 func (r *Receiver) schedulePeerDigests(path string) {
-	if kids, ok := r.childrenAt(path); !ok || len(kids) == 0 {
+	if kids, ok := r.ns.childrenAt(nil, path); !ok || len(kids) == 0 {
 		return
 	}
 	skey := "!q:" + path
@@ -672,24 +626,18 @@ func (r *Receiver) schedulePeerDigests(path string) {
 		}
 		r.sup.Repaired(skey)
 		r.mu.Unlock()
-		kids, ok := r.childrenAt(path)
+		kids, ok := r.ns.childrenAt(nil, path)
 		if !ok {
 			return
 		}
-		resp := &protocol.Digests{Path: path}
-		for _, k := range kids {
-			if len(resp.Children) == protocol.MaxBatch {
-				break
-			}
-			cd := protocol.ChildDigest{Name: k.Name, Leaf: k.Leaf}
-			copy(cd.Digest[:], k.Digest[:])
-			resp.Children = append(resp.Children, cd)
-		}
+		resp := descent.Answer(nil, path, kids)
 		r.mu.Lock()
-		r.stats.PeerDigestsSent++
-		r.m.peerDigests.Inc()
+		r.stats.PeerDigestsSent += len(resp)
+		r.m.peerDigests.Add(uint64(len(resp)))
 		r.mu.Unlock()
-		r.sendControl(resp)
+		for i := range resp {
+			r.sendControl(&resp[i])
+		}
 	})
 }
 
@@ -840,9 +788,9 @@ func (r *Receiver) onSummary(hdr protocol.Header, m *protocol.Summary) {
 	var local namespace.Digest
 	var err error
 	if m.Path == "" {
-		local, _ = r.rootSummary()
+		local, _ = r.ns.rootSummary()
 	} else {
-		st := r.stripeFor(m.Path)
+		st := r.ns.forPath(m.Path)
 		st.mu.Lock()
 		local, err = st.ns.Digest(m.Path)
 		st.mu.Unlock()
@@ -873,9 +821,10 @@ func (r *Receiver) onSummary(hdr protocol.Header, m *protocol.Summary) {
 	r.scheduleQuery(m.Path)
 }
 
-// onDigests diffs the sender's child digests against the replica and
-// recurses: mismatching interior children get queries, mismatching or
-// missing leaves get NACKs. Caller must hold no locks.
+// onDigests runs one descent step against a listing from the sender
+// or a peer: differing interior children get queries, differing or
+// missing leaves get NACKs, both pruned by the interest filter. Caller
+// must hold no locks.
 func (r *Receiver) onDigests(m *protocol.Digests) {
 	r.mu.Lock()
 	r.sup.Repaired("?" + m.Path)
@@ -885,87 +834,21 @@ func (r *Receiver) onDigests(m *protocol.Digests) {
 	if r.cfg.DisableFeedback {
 		return
 	}
-	remote := r.dRemote[:0]
-	if r.dLeaf == nil {
-		r.dLeaf = make(map[string]bool, len(m.Children))
-	} else {
-		clear(r.dLeaf)
-	}
-	leafByName := r.dLeaf
-	for _, c := range m.Children {
-		remote = append(remote, namespace.Child{Name: c.Name, Leaf: c.Leaf, Digest: namespace.Digest(c.Digest)})
-		leafByName[c.Name] = c.Leaf
-	}
-	r.dRemote = remote[:0]
-	differ, missing, ok := r.diffChildren(m.Path, remote)
-	if !ok {
-		return
-	}
+	local, _ := r.ns.childrenAt(r.dLocal[:0], m.Path)
+	nacks, queries := descent.Step(m, local, r.dNacks[:0], r.dQueries[:0])
+	r.dLocal, r.dNacks, r.dQueries = local[:0], nacks[:0], queries[:0]
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	nacks := r.dNacks[:0]
-	defer func() { r.dNacks = nacks[:0] }()
-	recurse := func(names []string) {
-		for _, name := range names {
-			child := name
-			if m.Path != "" {
-				child = m.Path + "/" + name
-			}
-			if !r.interested(child) {
-				continue
-			}
-			if leafByName[name] {
-				nacks = append(nacks, child)
-			} else {
-				r.scheduleQuery(child)
-			}
+	for _, path := range queries {
+		if r.interested(path) {
+			r.scheduleQuery(path)
 		}
 	}
-	recurse(differ)
-	recurse(missing)
 	for _, key := range nacks {
-		r.scheduleNACK(key)
-	}
-}
-
-// diffChildren diffs remote child digests against the replica's,
-// merging the per-stripe trees' top-level children at the root. The
-// semantics match namespace.Tree.DiffChildren: differ lists children
-// both sides hold with unequal digests, missing lists children the
-// replica lacks entirely.
-func (r *Receiver) diffChildren(path string, remote []namespace.Child) (differ, missing []string, ok bool) {
-	if path == "" && len(r.stripes) > 1 {
-		local := make(map[string]namespace.Digest)
-		for _, st := range r.stripes {
-			st.mu.Lock()
-			kids, err := st.ns.Children("")
-			st.mu.Unlock()
-			if err != nil {
-				continue
-			}
-			for _, k := range kids {
-				local[k.Name] = k.Digest
-			}
+		if r.interested(key) {
+			r.scheduleNACK(key)
 		}
-		for _, rc := range remote {
-			d, have := local[rc.Name]
-			switch {
-			case !have:
-				missing = append(missing, rc.Name)
-			case d != rc.Digest:
-				differ = append(differ, rc.Name)
-			}
-		}
-		return differ, missing, true
 	}
-	st := r.stripeFor(path)
-	st.mu.Lock()
-	d, ms, err := st.ns.DiffChildren(path, remote)
-	st.mu.Unlock()
-	if err != nil {
-		return nil, nil, false
-	}
-	return d, ms, true
 }
 
 // scheduleQuery slots a namespace query through the suppressor.

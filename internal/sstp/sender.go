@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"softstate/internal/congestion"
+	"softstate/internal/descent"
 	"softstate/internal/namespace"
 	"softstate/internal/netio"
 	"softstate/internal/obs"
@@ -35,6 +36,9 @@ import (
 // single frame exceeds it are still sent whole in their own datagram
 // (IP fragments them, as before coalescing existed).
 const coalesceMTU = 1400
+
+// tombstoneRepeats is how many times a deletion is announced.
+const tombstoneRepeats = 3
 
 // nowSeconds converts wall time to the float seconds used by the
 // time-agnostic substrates.
@@ -68,14 +72,10 @@ type SenderConfig struct {
 	// classes, each with its own hot/cold queue pair under a
 	// hierarchical link-sharing scheduler — the paper's Figure 12
 	// ("the application flexibly controls the amount of bandwidth
-	// allocated to its different data classes"). Empty means a single
-	// class holding all keys.
+	// allocated to its different data classes"). A key belongs to the
+	// class its first path component names, or else to the first
+	// class. Empty means a single class holding all keys.
 	Classes []Class
-
-	// Classify maps a key to a class name. The default uses the
-	// key's first path component when it names a class and falls
-	// back to the first class otherwise.
-	Classify func(key string) string
 
 	// Allocator, if non-nil, re-divides bandwidth from measured loss
 	// after each receiver report (profile-driven allocation, §6.1).
@@ -94,10 +94,6 @@ type SenderConfig struct {
 	// NoRetransmit sends each record version exactly once (no cold
 	// cycling) — the best-effort end of the reliability spectrum.
 	NoRetransmit bool
-
-	// TombstoneRepeats is how many times a deletion is announced
-	// (default 3).
-	TombstoneRepeats int
 
 	// Scope is the relay hop budget stamped on every datagram (default
 	// protocol.DefaultScope). A relay tree sets it to its upstream
@@ -173,9 +169,6 @@ func (c SenderConfig) withDefaults() (SenderConfig, error) {
 	}
 	if c.SummaryInterval == 0 {
 		c.SummaryInterval = time.Second
-	}
-	if c.TombstoneRepeats <= 0 {
-		c.TombstoneRepeats = 3
 	}
 	if c.Scope == 0 {
 		c.Scope = protocol.DefaultScope
@@ -309,10 +302,70 @@ func (l *entryList) remove(e *sendEntry) {
 // path), but a stripe lock must never be held while taking s.mu —
 // stripe-side callbacks park work in `expired` instead.
 type senderStripe struct {
-	mu      sync.Mutex
+	nsStripe
 	pub     *table.Publisher
-	ns      *namespace.Tree
 	expired []string // keys evicted while the stripe lock was held
+}
+
+// nsStripe is the namespace half of a sender or receiver stripe: its
+// slice of the digest tree, and the lock that guards the tree together
+// with the stripe's table.
+type nsStripe struct {
+	mu sync.Mutex
+	ns *namespace.Tree
+}
+
+// nsStripes views a sender's or receiver's stripes as one namespace.
+// Keys are striped by their first path component, so every path but
+// the root lives wholly in one stripe, and the root's children are the
+// merge of the stripes' top-level children. Stripes are locked one at
+// a time, never two at once.
+type nsStripes []*nsStripe
+
+// forPath returns the stripe holding path (or key).
+func (ss nsStripes) forPath(path string) *nsStripe {
+	return ss[table.StripeIndex(table.Key(path), len(ss))]
+}
+
+// rootSummary returns the root digest plus the total leaf count. The
+// merged root is byte-identical to an unsharded tree's.
+func (ss nsStripes) rootSummary() (namespace.Digest, int) {
+	if len(ss) == 1 {
+		st := ss[0]
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		return st.ns.RootDigest(), st.ns.Len()
+	}
+	kids, count := ss.rootChildren()
+	return namespace.CombineRoot(namespace.HashSHA256, kids), count
+}
+
+// rootChildren merges the stripes' top-level children into the root's
+// sorted child list and sums the stripes' leaf counts.
+func (ss nsStripes) rootChildren() ([]namespace.Child, int) {
+	groups := make([][]namespace.Child, len(ss))
+	count := 0
+	for i, st := range ss {
+		st.mu.Lock()
+		groups[i], _ = st.ns.Children("")
+		count += st.ns.Len()
+		st.mu.Unlock()
+	}
+	return namespace.CombineChildren(groups...), count
+}
+
+// childrenAt appends the sorted children of the node at path to dst;
+// ok is false when there is no node at path.
+func (ss nsStripes) childrenAt(dst []namespace.Child, path string) (kids []namespace.Child, ok bool) {
+	if path == "" && len(ss) > 1 {
+		kids, _ = ss.rootChildren()
+		return append(dst, kids...), true
+	}
+	st := ss.forPath(path)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	kids, err := st.ns.AppendChildren(dst, path)
+	return kids, err == nil
 }
 
 // Sender is an SSTP publisher.
@@ -321,6 +374,7 @@ type Sender struct {
 	bconn *netio.BatchConn
 
 	stripes []*senderStripe
+	ns      nsStripes     // the stripes' namespace halves
 	liveN   atomic.Int64  // live records across stripes
 	verN    atomic.Uint64 // sender-global version counter (see publish)
 
@@ -354,10 +408,10 @@ type Sender struct {
 	readyFn      func(id int) bool // persistent scheduler-ready predicate
 
 	// Query-path reuse, owned by recvLoop: the child listing scratch
-	// and the Digests reply are recycled across queries (send encodes
-	// synchronously, so the reply struct is free again on return).
+	// and the Digests replies are recycled across queries (send encodes
+	// synchronously, so the replies are free again on return).
 	qKids []namespace.Child
-	qResp protocol.Digests
+	qResp []protocol.Digests
 
 	// goodbyePending asks the send loop to emit a Goodbye datagram;
 	// deferring it keeps the Goodbye strictly after any announcement
@@ -402,10 +456,11 @@ func NewSender(cfg SenderConfig) (*Sender, error) {
 	}
 	s.scope = cfg.Scope
 	s.stripes = make([]*senderStripe, cfg.Stripes)
+	s.ns = make(nsStripes, cfg.Stripes)
 	for i := range s.stripes {
 		st := &senderStripe{}
 		s.wireStripe(st)
-		s.stripes[i] = st
+		s.stripes[i], s.ns[i] = st, &st.nsStripe
 	}
 	// Build the Figure-12 sharing tree: root -> class -> {hot, cold}.
 	s.share = sched.NewHierarchy(func() sched.Scheduler { return sched.NewStride() })
@@ -566,7 +621,7 @@ func (s *Sender) NextWire() ([]byte, bool) {
 // or a heartbeat while the table is empty, which keeps the sequence
 // space alive so receivers can estimate loss.
 func (s *Sender) summaryWire() []byte {
-	digest, count := s.rootSummary()
+	digest, count := s.ns.rootSummary()
 	var msg protocol.Message
 	if count == 0 {
 		msg = &protocol.Heartbeat{}
@@ -749,15 +804,12 @@ func (s *Sender) publish(key string, value []byte, version uint64, haveVersion b
 	return nil
 }
 
-// classify maps a key to its class index. Caller holds s.mu.
+// classify maps a key to its class index: the class its first path
+// component names, or the first class. Caller holds s.mu.
 func (s *Sender) classify(key string) int {
-	name := ""
-	if s.cfg.Classify != nil {
-		name = s.cfg.Classify(key)
-	} else if i := strings.IndexByte(key, '/'); i > 0 {
+	name := key
+	if i := strings.IndexByte(key, '/'); i > 0 {
 		name = key[:i]
-	} else {
-		name = key
 	}
 	if idx, ok := s.classByName[name]; ok {
 		return idx
@@ -782,7 +834,7 @@ func (s *Sender) Delete(key string) bool {
 		e = &sendEntry{key: key, class: s.classify(key), queue: -1}
 		s.entries[key] = e
 	}
-	e.tombstone = s.cfg.TombstoneRepeats
+	e.tombstone = tombstoneRepeats
 	s.moveTo(e, sqHot)
 	s.m.deletes.Inc()
 	s.m.live.Set(float64(s.liveN.Load()))
@@ -849,33 +901,8 @@ func (s *Sender) Len() int {
 // byte-identical to the digest an unsharded tree computes over the
 // same records.
 func (s *Sender) RootDigest() namespace.Digest {
-	d, _ := s.rootSummary()
+	d, _ := s.ns.rootSummary()
 	return d
-}
-
-// rootSummary combines the per-stripe namespace slices into the root
-// digest plus the total leaf count. Keys are striped by first path
-// component, so each stripe holds whole top-level subtrees and the
-// merged child list reproduces the unsharded root preimage exactly.
-func (s *Sender) rootSummary() (namespace.Digest, int) {
-	if len(s.stripes) == 1 {
-		st := s.stripes[0]
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		return st.ns.RootDigest(), st.ns.Len()
-	}
-	groups := make([][]namespace.Child, 0, len(s.stripes))
-	count := 0
-	for _, st := range s.stripes {
-		st.mu.Lock()
-		kids, _ := st.ns.Children("")
-		count += st.ns.Len()
-		st.mu.Unlock()
-		if len(kids) > 0 {
-			groups = append(groups, kids)
-		}
-	}
-	return namespace.CombineRoot(namespace.HashSHA256, namespace.CombineChildren(groups...)), count
 }
 
 // Snapshot returns a copy of the live {key, value} table.
@@ -1207,59 +1234,25 @@ func (s *Sender) onNACK(m *protocol.NACK) {
 	}
 }
 
+// onQuery answers a Query for a path this sender holds with the
+// node's child digests, in as many Digests datagrams as the listing
+// needs.
 func (s *Sender) onQuery(m *protocol.Query) {
-	kids, ok := s.childrenAt(m.Path)
+	kids, ok := s.ns.childrenAt(s.qKids[:0], m.Path)
+	s.qKids = kids[:0]
 	if !ok {
 		return
 	}
+	s.qResp = descent.Answer(s.qResp[:0], m.Path, kids)
 	s.mu.Lock()
 	s.stats.QueriesServed++
 	s.m.queries.Inc()
+	s.stats.DigestsSent += len(s.qResp)
+	s.m.digests.Add(uint64(len(s.qResp)))
 	s.mu.Unlock()
-	resp := &s.qResp
-	resp.Path = m.Path
-	resp.Children = resp.Children[:0]
-	for _, k := range kids {
-		if len(resp.Children) == protocol.MaxBatch {
-			break
-		}
-		cd := protocol.ChildDigest{Name: k.Name, Leaf: k.Leaf}
-		copy(cd.Digest[:], k.Digest[:])
-		resp.Children = append(resp.Children, cd)
+	for i := range s.qResp {
+		s.send(&s.qResp[i])
 	}
-	s.mu.Lock()
-	s.stats.DigestsSent++
-	s.m.digests.Inc()
-	s.mu.Unlock()
-	s.send(resp)
-}
-
-// childrenAt lists the namespace children under path, merging the
-// per-stripe trees' top-level children when the root is asked for.
-// Deeper paths live wholly inside the stripe their first component
-// hashes to.
-func (s *Sender) childrenAt(path string) ([]namespace.Child, bool) {
-	if path == "" && len(s.stripes) > 1 {
-		groups := make([][]namespace.Child, 0, len(s.stripes))
-		for _, st := range s.stripes {
-			st.mu.Lock()
-			kids, err := st.ns.Children("")
-			st.mu.Unlock()
-			if err == nil && len(kids) > 0 {
-				groups = append(groups, kids)
-			}
-		}
-		return namespace.CombineChildren(groups...), true
-	}
-	st := s.stripeFor(path)
-	st.mu.Lock()
-	kids, err := st.ns.AppendChildren(s.qKids[:0], path)
-	st.mu.Unlock()
-	s.qKids = kids[:0]
-	if err != nil {
-		return nil, false
-	}
-	return kids, true
 }
 
 func (s *Sender) onReport(m *protocol.Report) {
