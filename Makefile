@@ -69,7 +69,8 @@ bench:
 ## benchfast: real numbers for the substrate micro-benchmarks only —
 ## the allocation-sensitive hot paths (event scheduling, namespace
 ## digests, scheduler picks, channel services, codec, table expiry
-## heap, live sender path) with -benchmem.
+## heap, live sender path, in-process datagram round trip) with
+## -benchmem.
 benchfast:
 	$(GO) test -run=^$$ -benchmem -benchtime=200ms \
 		-bench='Eventsim|Namespace|Scheduler|Channel|Protocol|EngineEventsPerSec' .
@@ -81,6 +82,8 @@ benchfast:
 		-bench='ProtocolBatch|ProtocolDecoder' ./internal/protocol/
 	$(GO) test -run=^$$ -benchmem -benchtime=200ms \
 		-bench='NamespaceForest' ./internal/namespace/
+	$(GO) test -run=^$$ -benchmem -benchtime=200ms \
+		-bench='MemConnRoundTrip' ./internal/transport/
 
 ## benchjson: regenerate BENCH_ssbench.json, the paper-figure record
 ## (per-experiment wall time + headline-metric trajectory; format in

@@ -10,26 +10,8 @@ import (
 	"softstate/internal/netio"
 	"softstate/internal/obs"
 	"softstate/internal/protocol"
+	"softstate/internal/transport"
 )
-
-// demuxPktPool recycles per-datagram copies handed to ports.
-var demuxPktPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 2048)
-	return &b
-}}
-
-type demuxPacket struct {
-	from net.Addr
-	data []byte
-	buf  *[]byte
-}
-
-func (p *demuxPacket) recycle() {
-	if p.buf != nil {
-		demuxPktPool.Put(p.buf)
-		p.buf = nil
-	}
-}
 
 // Demux fans one shared datagram socket out to per-session virtual
 // conns, routing on the session id every SSTP header already carries
@@ -52,7 +34,7 @@ type Demux struct {
 	closed bool
 
 	unknownDrops  atomic.Uint64 // datagrams for sessions with no port
-	overflowDrops atomic.Uint64 // datagrams dropped on a full port inbox
+	overflowDrops atomic.Uint64 // datagrams dropped on a full port inbox; every port's Inbox counts here
 	foreignDrops  atomic.Uint64 // datagrams that are not SSTP at all
 
 	mUnknown  *obs.Counter
@@ -87,9 +69,9 @@ func (d *Demux) Port(session uint64) *Port {
 		return p
 	}
 	p := &Port{
+		Inbox:   transport.NewInbox(portInboxSlots, &d.overflowDrops),
 		d:       d,
 		session: session,
-		inbox:   make(chan demuxPacket, 512),
 	}
 	d.ports[session] = p
 	return p
@@ -125,13 +107,17 @@ func (d *Demux) Close() error {
 }
 
 // readLoop drains the shared socket in batches and routes each
-// datagram to its session's port.
+// datagram to its session's port. Only the kernel batch path fills
+// more than one buffer per call, so any other conn gets one.
 func (d *Demux) readLoop() {
 	defer d.wg.Done()
-	const batch = 16
+	batch := 1
+	if d.bconn.Batched() {
+		batch = 16
+	}
 	bufs := make([][]byte, batch)
 	for i := range bufs {
-		bufs[i] = make([]byte, 2048)
+		bufs[i] = make([]byte, netio.MaxDatagram)
 	}
 	sizes := make([]int, batch)
 	addrs := make([]net.Addr, batch)
@@ -170,94 +156,32 @@ func (d *Demux) route(b []byte, from net.Addr) {
 		d.mUnknown.Inc()
 		return
 	}
-	bp := demuxPktPool.Get().(*[]byte)
-	*bp = append((*bp)[:0], b...)
-	pkt := demuxPacket{from: from, data: *bp, buf: bp}
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		pkt.recycle()
-		return
-	}
-	select {
-	case p.inbox <- pkt:
-		p.mu.Unlock()
-	default:
-		p.mu.Unlock()
-		pkt.recycle()
-		d.overflowDrops.Add(1)
+	if p.Deliver(b, from) {
 		d.mOverflow.Inc()
 	}
 }
+
+// portInboxSlots is a port's receive queue depth in datagrams; the
+// port's inbox counts its overflow drops into the demux's total.
+const portInboxSlots = 512
 
 // Port is one session's view of the shared socket: reads see only
 // that session's datagrams, writes pass straight through to the
 // shared conn. It implements net.PacketConn, so an sstp.Sender or
 // sstp.Receiver runs over it unmodified.
 type Port struct {
+	*transport.Inbox
 	d       *Demux
 	session uint64
-	inbox   chan demuxPacket
-
-	mu     sync.Mutex
-	closed bool
-
-	deadlineMu sync.Mutex
-	deadline   time.Time
-
-	// rdTimer is reused across ReadFrom calls; ports are single-reader
-	// like the sockets they stand in for.
-	rdTimer *time.Timer
 }
 
 // Session returns the session id this port filters for.
 func (p *Port) Session() uint64 { return p.session }
 
-// ReadFrom implements net.PacketConn: the next datagram of this
-// port's session.
-func (p *Port) ReadFrom(b []byte) (int, net.Addr, error) {
-	p.deadlineMu.Lock()
-	dl := p.deadline
-	p.deadlineMu.Unlock()
-	var timeout <-chan time.Time
-	if !dl.IsZero() {
-		d := time.Until(dl)
-		if d <= 0 {
-			return 0, nil, timeoutError{}
-		}
-		if p.rdTimer == nil {
-			p.rdTimer = time.NewTimer(d)
-		} else {
-			if !p.rdTimer.Stop() {
-				select {
-				case <-p.rdTimer.C:
-				default:
-				}
-			}
-			p.rdTimer.Reset(d)
-		}
-		timeout = p.rdTimer.C
-	}
-	select {
-	case pkt, ok := <-p.inbox:
-		if !ok {
-			return 0, nil, net.ErrClosed
-		}
-		n := copy(b, pkt.data)
-		pkt.recycle()
-		return n, pkt.from, nil
-	case <-timeout:
-		return 0, nil, timeoutError{}
-	}
-}
-
 // WriteTo implements net.PacketConn, passing through to the shared
 // socket (datagram writes are concurrency-safe across ports).
 func (p *Port) WriteTo(b []byte, addr net.Addr) (int, error) {
-	p.mu.Lock()
-	closed := p.closed
-	p.mu.Unlock()
-	if closed {
+	if p.Closed() {
 		return 0, net.ErrClosed
 	}
 	return p.d.conn.WriteTo(b, addr)
@@ -266,43 +190,17 @@ func (p *Port) WriteTo(b []byte, addr net.Addr) (int, error) {
 // Close implements net.PacketConn. It detaches this session from the
 // demux; the shared socket stays open.
 func (p *Port) Close() error {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return nil
-	}
-	p.closed = true
-	close(p.inbox)
-	p.mu.Unlock()
+	p.Inbox.Close()
 	p.d.mu.Lock()
-	delete(p.d.ports, p.session)
+	if p.d.ports[p.session] == p {
+		delete(p.d.ports, p.session)
+	}
 	p.d.mu.Unlock()
 	return nil
 }
 
 // LocalAddr implements net.PacketConn.
 func (p *Port) LocalAddr() net.Addr { return p.d.conn.LocalAddr() }
-
-// SetDeadline implements net.PacketConn.
-func (p *Port) SetDeadline(t time.Time) error { return p.SetReadDeadline(t) }
-
-// SetReadDeadline implements net.PacketConn.
-func (p *Port) SetReadDeadline(t time.Time) error {
-	p.deadlineMu.Lock()
-	p.deadline = t
-	p.deadlineMu.Unlock()
-	return nil
-}
-
-// SetWriteDeadline implements net.PacketConn (writes never block on
-// the port itself).
-func (p *Port) SetWriteDeadline(time.Time) error { return nil }
-
-type timeoutError struct{}
-
-func (timeoutError) Error() string   { return "fabric: i/o timeout" }
-func (timeoutError) Timeout() bool   { return true }
-func (timeoutError) Temporary() bool { return true }
 
 var _ net.PacketConn = (*Port)(nil)
 

@@ -186,6 +186,41 @@ func TestDemuxRoutesBySession(t *testing.T) {
 	}
 }
 
+// TestDemuxDeliversLargeDatagramIntact writes a Data datagram well
+// over 2 KB to the demux's shared conn: its port must hand it on
+// whole, so it decodes with the value intact.
+func TestDemuxDeliversLargeDatagramIntact(t *testing.T) {
+	nw := transport.NewMemNetwork(4)
+	shared := nw.Endpoint("shared")
+	peer := nw.Endpoint("peer")
+	d := NewDemux(shared, nil)
+	defer d.Close()
+	p := d.Port(7)
+
+	val := bytes.Repeat([]byte("0123456789abcdef"), 256) // 4 KB
+	hdr := protocol.Header{Session: 7, Sender: 77, Seq: 1, Scope: 1}
+	wire := protocol.Encode(hdr, &protocol.Data{Key: "big", Ver: 3, TTLms: 1000, Value: val})
+	if _, err := peer.WriteTo(wire, transport.MemAddr("shared")); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 64<<10)
+	_ = p.SetReadDeadline(time.Now().Add(2 * time.Second))
+	n, _, err := p.ReadFrom(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != len(wire) {
+		t.Fatalf("port read %d B, want the whole %d B datagram", n, len(wire))
+	}
+	_, msg, err := protocol.Decode(buf[:n])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, ok := msg.(*protocol.Data); !ok || m.Key != "big" || !bytes.Equal(m.Value, val) {
+		t.Fatalf("decoded %T %+v, want the 4 KB Data record", msg, msg)
+	}
+}
+
 // TestFabricMultiTenantConvergence runs three tenants over one shared
 // socket with loss on every path and requires each receiver to
 // converge on its own session's records — announcements fan out from

@@ -53,6 +53,7 @@ import (
 	"softstate/internal/congestion"
 	"softstate/internal/descent"
 	"softstate/internal/namespace"
+	"softstate/internal/netio"
 	"softstate/internal/obs"
 	"softstate/internal/protocol"
 	"softstate/internal/staleness"
@@ -508,7 +509,7 @@ func (n *Node) sendSummary(dest net.Addr, seq uint32) {
 func (n *Node) recvLoop() {
 	defer n.wg.Done()
 	dec := protocol.NewDecoder()
-	buf := make([]byte, 65536)
+	buf := make([]byte, netio.MaxDatagram)
 	for {
 		select {
 		case <-n.done:

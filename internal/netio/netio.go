@@ -20,6 +20,10 @@ import (
 // split transparently.
 const MaxBatch = 64
 
+// MaxDatagram is the size of every read loop's buffers: the largest
+// datagram UDP can carry, so no read ever truncates one.
+const MaxDatagram = 64 << 10
+
 // BatchConn wraps a net.PacketConn with batch send/receive.
 // Not safe for concurrent use of the same direction; one reader and
 // one writer goroutine may operate concurrently (matching UDP socket

@@ -38,7 +38,7 @@ type Decoder struct {
 
 // NewDecoder returns a ready Decoder.
 func NewDecoder() *Decoder {
-	return &Decoder{names: make(map[string]string, 1024)}
+	return &Decoder{names: make(map[string]string)}
 }
 
 // intern returns the canonical string for b, allocating only the first
@@ -48,7 +48,7 @@ func (d *Decoder) intern(b []byte) string {
 		return s
 	}
 	if len(d.names) >= internCap {
-		d.names = make(map[string]string, 1024)
+		d.names = make(map[string]string)
 	}
 	s := string(b)
 	d.names[s] = s

@@ -146,36 +146,3 @@ func TestMemNetworkLossValidation(t *testing.T) {
 	}()
 	nw.SetLoss("a", "b", 1.5)
 }
-
-func TestMemConnReadAfterClose(t *testing.T) {
-	nw := transport.NewMemNetwork(85)
-	a := nw.Endpoint("a")
-	a.Close()
-	buf := make([]byte, 8)
-	if _, _, err := a.ReadFrom(buf); err == nil {
-		t.Fatal("read on closed conn succeeded")
-	}
-	// Endpoint() after close returns a fresh conn under the same name.
-	a2 := nw.Endpoint("a")
-	if a2 == a {
-		t.Fatal("closed endpoint reused")
-	}
-	nw.Endpoint("b").WriteTo([]byte("x"), transport.MemAddr("a"))
-	_ = a2.SetReadDeadline(time.Now().Add(time.Second))
-	if _, _, err := a2.ReadFrom(buf); err != nil {
-		t.Fatalf("fresh endpoint not reachable: %v", err)
-	}
-}
-
-func TestMemConnTruncatingRead(t *testing.T) {
-	nw := transport.NewMemNetwork(86)
-	a := nw.Endpoint("a")
-	b := nw.Endpoint("b")
-	a.WriteTo([]byte("0123456789"), transport.MemAddr("b"))
-	small := make([]byte, 4)
-	_ = b.SetReadDeadline(time.Now().Add(time.Second))
-	n, _, err := b.ReadFrom(small)
-	if err != nil || n != 4 || string(small) != "0123" {
-		t.Fatalf("truncating read = (%d, %q, %v)", n, small, err)
-	}
-}

@@ -1,6 +1,10 @@
 package sstp
 
-import "sync"
+import (
+	"sync"
+
+	"softstate/internal/netio"
+)
 
 // pktPool recycles wire-encode buffers for the control paths (NACKs,
 // queries, digests, reports, summaries), which are sent from several
@@ -11,11 +15,11 @@ var pktPool = sync.Pool{New: func() any {
 	return &b
 }}
 
-// readBufPool recycles the 64 KiB datagram read buffers used by the
+// readBufPool recycles the netio.MaxDatagram read buffers used by the
 // sender and receiver read loops, so short-lived endpoints (load
 // harnesses, per-session receivers) do not each burn a fresh 64 KiB
 // allocation.
 var readBufPool = sync.Pool{New: func() any {
-	b := make([]byte, 65536)
+	b := make([]byte, netio.MaxDatagram)
 	return &b
 }}

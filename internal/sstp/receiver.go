@@ -418,15 +418,20 @@ func (r *Receiver) interested(path string) bool {
 	return r.cfg.Interest == nil || r.cfg.Interest(path)
 }
 
-// recvBatch is how many datagrams one ReadBatch call can surface
-// (one recvmmsg on Linux; the fallback reads one at a time).
+// recvBatch is how many datagrams one ReadBatch call can surface on
+// the kernel batch path (one recvmmsg on Linux). Every other conn is
+// read one datagram at a time, so its loop holds a single buffer.
 const recvBatch = 8
 
 func (r *Receiver) recvLoop() {
 	defer r.wg.Done()
 	bc := netio.Wrap(r.cfg.Conn)
-	var bps [recvBatch]*[]byte
-	bufs := make([][]byte, recvBatch)
+	batch := 1
+	if bc.Batched() {
+		batch = recvBatch
+	}
+	bps := make([]*[]byte, batch)
+	bufs := make([][]byte, batch)
 	for i := range bufs {
 		bps[i] = readBufPool.Get().(*[]byte)
 		bufs[i] = *bps[i]
@@ -436,8 +441,8 @@ func (r *Receiver) recvLoop() {
 			readBufPool.Put(bp)
 		}
 	}()
-	sizes := make([]int, recvBatch)
-	addrs := make([]net.Addr, recvBatch)
+	sizes := make([]int, batch)
+	addrs := make([]net.Addr, batch)
 	dec := protocol.NewDecoder()
 	for {
 		select {

@@ -58,28 +58,6 @@ func newPair(t *testing.T, loss float64) (*Sender, *Receiver, *transport.MemNetw
 
 func converged(s *Sender, r *Receiver) bool { return s.RootDigest() == r.RootDigest() }
 
-func TestMemNetworkBasics(t *testing.T) {
-	nw := transport.NewMemNetwork(3)
-	a := nw.Endpoint("a")
-	b := nw.Endpoint("b")
-	if _, err := a.WriteTo([]byte("hello"), transport.MemAddr("b")); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 64)
-	_ = b.SetReadDeadline(time.Now().Add(time.Second))
-	n, from, err := b.ReadFrom(buf)
-	if err != nil || string(buf[:n]) != "hello" || from.String() != "a" {
-		t.Fatalf("ReadFrom = (%q, %v, %v)", buf[:n], from, err)
-	}
-	// Deadline expiry produces a timeout error.
-	_ = b.SetReadDeadline(time.Now().Add(30 * time.Millisecond))
-	if _, _, err := b.ReadFrom(buf); err == nil {
-		t.Fatal("expected timeout")
-	} else if ne, ok := err.(net.Error); !ok || !ne.Timeout() {
-		t.Fatalf("err %v is not a timeout", err)
-	}
-}
-
 func TestMemNetworkGroups(t *testing.T) {
 	nw := transport.NewMemNetwork(4)
 	s := nw.Endpoint("s")
@@ -126,18 +104,6 @@ type strAddr string
 
 func (s strAddr) Network() string { return "str" }
 func (s strAddr) String() string  { return string(s) }
-
-func TestMemConnClosed(t *testing.T) {
-	nw := transport.NewMemNetwork(6)
-	a := nw.Endpoint("a")
-	a.Close()
-	if _, err := a.WriteTo([]byte("x"), transport.MemAddr("b")); err == nil {
-		t.Fatal("write on closed conn succeeded")
-	}
-	if err := a.Close(); err != nil {
-		t.Fatal("double close errored")
-	}
-}
 
 func TestLosslessConvergence(t *testing.T) {
 	s, r, _ := newPair(t, 0)

@@ -182,13 +182,13 @@ func (n *MemNetwork) HealAll() {
 func (n *MemNetwork) Endpoint(addr MemAddr) *MemConn {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if c, ok := n.endpoints[addr]; ok && !c.closed.Load() {
+	if c, ok := n.endpoints[addr]; ok && !c.Closed() {
 		return c
 	}
 	c := &MemConn{
+		Inbox: NewInbox(memInboxSlots, &n.overflows),
 		net:   n,
 		addr:  addr,
-		inbox: make(chan memPacket, memInboxSlots),
 	}
 	n.endpoints[addr] = c
 	return c
@@ -247,7 +247,7 @@ func (n *MemNetwork) route(from MemAddr, to MemAddr, b []byte) {
 	cut := n.down[[2]MemAddr{from, to}] // group-level cut when to is a group
 	for _, tgt := range targets {
 		c, ok := n.endpoints[tgt]
-		if !ok || c.closed.Load() {
+		if !ok || c.Closed() {
 			continue
 		}
 		if cut || n.down[[2]MemAddr{from, tgt}] {
@@ -275,40 +275,15 @@ func (n *MemNetwork) route(from MemAddr, to MemAddr, b []byte) {
 	}
 	n.mu.Unlock()
 	for _, h := range hops {
-		bp := memPktPool.Get().(*[]byte)
-		*bp = append((*bp)[:0], b...)
-		pkt := memPacket{from: src, data: *bp, buf: bp}
-		if h.d > 0 {
-			go func(c *MemConn, pkt memPacket, d time.Duration) {
-				time.Sleep(d)
-				c.deliver(pkt)
-			}(h.c, pkt, h.d)
-		} else {
-			h.c.deliver(pkt)
+		if h.d <= 0 {
+			h.c.Deliver(b, src)
+			continue
 		}
-	}
-}
-
-// memPktPool recycles per-hop datagram copies: a load test pushing
-// hundreds of thousands of datagrams through a MemNetwork would
-// otherwise allocate one buffer per hop. Buffers return to the pool
-// when the packet is read or dropped.
-var memPktPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 2048)
-	return &b
-}}
-
-type memPacket struct {
-	from net.Addr // pre-boxed MemAddr so reads don't allocate
-	data []byte
-	buf  *[]byte // pooled backing store; recycled after read or drop
-}
-
-// recycle returns the packet's backing buffer to the pool.
-func (p *memPacket) recycle() {
-	if p.buf != nil {
-		memPktPool.Put(p.buf)
-		p.buf = nil
+		pkt := newPacket(b, src)
+		go func(c *MemConn, pkt *packet, d time.Duration) {
+			time.Sleep(d)
+			c.put(pkt)
+		}(h.c, pkt, h.d)
 	}
 }
 
@@ -317,109 +292,18 @@ func (p *memPacket) recycle() {
 const memInboxSlots = 4096
 
 // MemConn is one endpoint of a MemNetwork; it implements
-// net.PacketConn.
+// net.PacketConn. Its Inbox counts the datagrams dropped on a full
+// queue: a reader too slow for its senders, the in-process router
+// drop.
 type MemConn struct {
-	net   *MemNetwork
-	addr  MemAddr
-	inbox chan memPacket
-	mu    sync.Mutex
-
-	// overflows counts datagrams dropped on a full inbox: a reader too
-	// slow for its senders, the in-process router drop.
-	overflows atomic.Uint64
-
-	// closed is atomic so the network's routing fast path (which holds
-	// only the network lock) can test liveness without racing Close;
-	// mu still orders the closed-check against the inbox send/close.
-	closed atomic.Bool
-
-	deadlineMu sync.Mutex
-	deadline   time.Time
-}
-
-// memTimerPool recycles read-deadline timers across ReadFrom calls.
-// Pooling (rather than a per-conn timer field) keeps deadline reads
-// allocation-free while staying correct when several goroutines read
-// one conn concurrently — tests share endpoints to model multicast
-// sockets, and a shared timer would let one reader's Reset clobber
-// another's pending wait.
-var memTimerPool = sync.Pool{New: func() any {
-	t := time.NewTimer(time.Hour)
-	t.Stop()
-	return t
-}}
-
-func (c *MemConn) deliver(p memPacket) {
-	// Hold the lock across the (non-blocking) send so Close cannot
-	// close the inbox between the check and the send.
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed.Load() {
-		return
-	}
-	select {
-	case c.inbox <- p:
-	default: // queue overflow models router drop
-		c.overflows.Add(1)
-		c.net.overflows.Add(1)
-		p.recycle()
-	}
-}
-
-// Overflows returns how many datagrams bound for this endpoint were
-// dropped because its inbox was full.
-func (c *MemConn) Overflows() uint64 { return c.overflows.Load() }
-
-// ReadFrom implements net.PacketConn.
-func (c *MemConn) ReadFrom(b []byte) (int, net.Addr, error) {
-	c.deadlineMu.Lock()
-	dl := c.deadline
-	c.deadlineMu.Unlock()
-	var timeout <-chan time.Time
-	var tm *time.Timer
-	if !dl.IsZero() {
-		d := time.Until(dl)
-		if d <= 0 {
-			return 0, nil, timeoutError{}
-		}
-		tm = memTimerPool.Get().(*time.Timer)
-		if !tm.Stop() {
-			select {
-			case <-tm.C:
-			default:
-			}
-		}
-		tm.Reset(d)
-		timeout = tm.C
-	}
-	defer func() {
-		if tm == nil {
-			return
-		}
-		if !tm.Stop() {
-			select {
-			case <-tm.C:
-			default:
-			}
-		}
-		memTimerPool.Put(tm)
-	}()
-	select {
-	case p, ok := <-c.inbox:
-		if !ok {
-			return 0, nil, net.ErrClosed
-		}
-		n := copy(b, p.data)
-		p.recycle()
-		return n, p.from, nil
-	case <-timeout:
-		return 0, nil, timeoutError{}
-	}
+	*Inbox
+	net  *MemNetwork
+	addr MemAddr
 }
 
 // WriteTo implements net.PacketConn.
 func (c *MemConn) WriteTo(b []byte, addr net.Addr) (int, error) {
-	if c.closed.Load() {
+	if c.Closed() {
 		return 0, net.ErrClosed
 	}
 	to, ok := addr.(MemAddr)
@@ -430,37 +314,5 @@ func (c *MemConn) WriteTo(b []byte, addr net.Addr) (int, error) {
 	return len(b), nil
 }
 
-// Close implements net.PacketConn.
-func (c *MemConn) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed.Load() {
-		return nil
-	}
-	c.closed.Store(true)
-	close(c.inbox)
-	return nil
-}
-
 // LocalAddr implements net.PacketConn.
 func (c *MemConn) LocalAddr() net.Addr { return c.addr }
-
-// SetDeadline implements net.PacketConn.
-func (c *MemConn) SetDeadline(t time.Time) error { return c.SetReadDeadline(t) }
-
-// SetReadDeadline implements net.PacketConn.
-func (c *MemConn) SetReadDeadline(t time.Time) error {
-	c.deadlineMu.Lock()
-	c.deadline = t
-	c.deadlineMu.Unlock()
-	return nil
-}
-
-// SetWriteDeadline implements net.PacketConn (writes never block).
-func (c *MemConn) SetWriteDeadline(time.Time) error { return nil }
-
-type timeoutError struct{}
-
-func (timeoutError) Error() string   { return "transport: i/o timeout" }
-func (timeoutError) Timeout() bool   { return true }
-func (timeoutError) Temporary() bool { return true }

@@ -80,7 +80,7 @@ func (t *streamTransport) Listen(address string) (Conn, error) {
 		o:      o,
 		ln:     ln,
 		peers:  make(map[string]*streamPeer),
-		inbox:  make(chan memPacket, 4096),
+		Inbox:  NewInbox(streamInboxSlots, nil),
 		done:   make(chan struct{}),
 	}
 	go sc.acceptLoop()
@@ -96,13 +96,19 @@ func (t *streamTransport) dial(address string) (net.Conn, error) {
 	return d.Dial("tcp", address)
 }
 
+// streamInboxSlots is a stream conn's receive queue depth in
+// datagrams, shared by all its peers.
+const streamInboxSlots = 4096
+
 // StreamConn is a net.PacketConn over length-prefixed stream framing.
 // WriteTo dials (and caches) a stream to the destination lazily;
 // inbound connections register their peer under the remote address so
-// replies to a ReadFrom source reuse the accepted stream. Reads share
-// MemConn's inbox discipline (bounded channel, overflow drops) and
-// its deadline semantics, so the sstp polling loops run unmodified.
+// replies to a ReadFrom source reuse the accepted stream. Reads go
+// through the same Inbox as MemConn (bounded, overflow drops counted,
+// the same deadline semantics), so the sstp polling loops run
+// unmodified.
 type StreamConn struct {
+	*Inbox
 	scheme string
 	o      Options
 	ln     net.Listener
@@ -111,12 +117,7 @@ type StreamConn struct {
 	peers  map[string]*streamPeer
 	closed bool
 
-	inbox chan memPacket
-	done  chan struct{}
-
-	deadlineMu sync.Mutex
-	deadline   time.Time
-	rdTimer    *time.Timer
+	done chan struct{}
 
 	// Drops counts datagrams shed by the bounded peer queues, failed
 	// dials, and dead peers — the stream analogue of router drops.
@@ -129,7 +130,7 @@ type StreamConn struct {
 type streamPeer struct {
 	sc   *StreamConn
 	key  string
-	out  chan *[]byte // pooled length-prefixed frames
+	out  chan *packet // pooled length-prefixed frames
 	done chan struct{}
 	once sync.Once
 
@@ -171,7 +172,7 @@ func (c *StreamConn) adoptConn(conn net.Conn) {
 	p := &streamPeer{
 		sc:   c,
 		key:  key,
-		out:  make(chan *[]byte, c.o.PeerQueue),
+		out:  make(chan *packet, c.o.PeerQueue),
 		done: make(chan struct{}),
 		conn: conn,
 	}
@@ -211,7 +212,7 @@ func (c *StreamConn) WriteTo(b []byte, addr net.Addr) (int, error) {
 		p = &streamPeer{
 			sc:   c,
 			key:  key,
-			out:  make(chan *[]byte, c.o.PeerQueue),
+			out:  make(chan *packet, c.o.PeerQueue),
 			done: make(chan struct{}),
 		}
 		c.peers[key] = p
@@ -219,22 +220,22 @@ func (c *StreamConn) WriteTo(b []byte, addr net.Addr) (int, error) {
 	}
 	c.mu.Unlock()
 
-	bp := memPktPool.Get().(*[]byte)
-	frame, err := AppendFrame((*bp)[:0], b, c.o.MaxFrame)
+	fp := packetPool.Get().(*packet)
+	frame, err := AppendFrame(fp.data[:0], b, c.o.MaxFrame)
 	if err != nil {
-		memPktPool.Put(bp)
+		fp.recycle()
 		return 0, err
 	}
-	*bp = frame
+	fp.data = frame
 	select {
 	case <-p.done:
-		memPktPool.Put(bp)
+		fp.recycle()
 		c.drops.Add(1)
 	default:
 		select {
-		case p.out <- bp:
+		case p.out <- fp:
 		default: // bounded queue full: drop, as a router would
-			memPktPool.Put(bp)
+			fp.recycle()
 			c.drops.Add(1)
 		}
 	}
@@ -275,10 +276,10 @@ func (p *streamPeer) runDial(address string) {
 func (p *streamPeer) writeLoop(conn net.Conn) {
 	for {
 		select {
-		case bp := <-p.out:
+		case fp := <-p.out:
 			conn.SetWriteDeadline(time.Now().Add(p.sc.o.WriteTimeout))
-			_, err := conn.Write(*bp)
-			memPktPool.Put(bp)
+			_, err := conn.Write(fp.data)
+			fp.recycle()
 			if err != nil {
 				p.teardown()
 				return
@@ -305,23 +306,7 @@ func (p *streamPeer) readLoop(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		bp := memPktPool.Get().(*[]byte)
-		*bp = append((*bp)[:0], payload...)
-		p.sc.deliver(memPacket{from: from, data: *bp, buf: bp})
-	}
-}
-
-func (c *StreamConn) deliver(pkt memPacket) {
-	select {
-	case <-c.done:
-		pkt.recycle()
-		return
-	default:
-	}
-	select {
-	case c.inbox <- pkt:
-	default: // inbox overflow models router drop
-		pkt.recycle()
+		p.sc.Deliver(payload, from)
 	}
 }
 
@@ -342,51 +327,13 @@ func (p *streamPeer) teardown() {
 		p.sc.mu.Unlock()
 		for {
 			select {
-			case bp := <-p.out:
-				memPktPool.Put(bp)
+			case fp := <-p.out:
+				fp.recycle()
 			default:
 				return
 			}
 		}
 	})
-}
-
-// ReadFrom implements net.PacketConn with MemConn's deadline
-// semantics: a reused timer, timeoutError on expiry, net.ErrClosed
-// after Close.
-func (c *StreamConn) ReadFrom(b []byte) (int, net.Addr, error) {
-	c.deadlineMu.Lock()
-	dl := c.deadline
-	c.deadlineMu.Unlock()
-	var timeout <-chan time.Time
-	if !dl.IsZero() {
-		d := time.Until(dl)
-		if d <= 0 {
-			return 0, nil, timeoutError{}
-		}
-		if c.rdTimer == nil {
-			c.rdTimer = time.NewTimer(d)
-		} else {
-			if !c.rdTimer.Stop() {
-				select {
-				case <-c.rdTimer.C:
-				default:
-				}
-			}
-			c.rdTimer.Reset(d)
-		}
-		timeout = c.rdTimer.C
-	}
-	select {
-	case p := <-c.inbox:
-		n := copy(b, p.data)
-		p.recycle()
-		return n, p.from, nil
-	case <-c.done:
-		return 0, nil, net.ErrClosed
-	case <-timeout:
-		return 0, nil, timeoutError{}
-	}
 }
 
 // Close implements net.PacketConn: the listener and every peer stream
@@ -404,6 +351,7 @@ func (c *StreamConn) Close() error {
 	}
 	c.mu.Unlock()
 	close(c.done)
+	c.Inbox.Close()
 	err := c.ln.Close()
 	for _, p := range peers {
 		p.teardown()
@@ -413,20 +361,5 @@ func (c *StreamConn) Close() error {
 
 // LocalAddr implements net.PacketConn.
 func (c *StreamConn) LocalAddr() net.Addr { return c.ln.Addr() }
-
-// SetDeadline implements net.PacketConn.
-func (c *StreamConn) SetDeadline(t time.Time) error { return c.SetReadDeadline(t) }
-
-// SetReadDeadline implements net.PacketConn.
-func (c *StreamConn) SetReadDeadline(t time.Time) error {
-	c.deadlineMu.Lock()
-	c.deadline = t
-	c.deadlineMu.Unlock()
-	return nil
-}
-
-// SetWriteDeadline implements net.PacketConn (sends queue, never
-// block; the per-frame stream write timeout is Options.WriteTimeout).
-func (c *StreamConn) SetWriteDeadline(time.Time) error { return nil }
 
 var _ net.PacketConn = (*StreamConn)(nil)

@@ -169,3 +169,31 @@ func TestStreamCloseUnblocksReader(t *testing.T) {
 		t.Fatal("Close did not unblock ReadFrom")
 	}
 }
+
+// TestStreamConnCountsInboxOverflow sends a stream conn nobody reads
+// more datagrams than its inbox holds: every one past the depth is
+// dropped and counted, as MemConn counts its own.
+func TestStreamConnCountsInboxOverflow(t *testing.T) {
+	const extra = 37
+	o := Options{PeerQueue: 2 * streamInboxSlots}
+	ta, a := listenStream(t, "tcp", o)
+	_, b := listenStream(t, "tcp", o)
+	dest, err := ta.Resolve(b.LocalAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < streamInboxSlots+extra; i++ {
+		if _, err := a.WriteTo([]byte("x"), dest); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sc := b.(*StreamConn)
+	deadline := time.Now().Add(5 * time.Second)
+	for sc.Overflows() < extra && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	time.Sleep(50 * time.Millisecond) // nothing more may trickle in
+	if got, drops := sc.Overflows(), a.(*StreamConn).Drops(); got != extra || drops != 0 {
+		t.Fatalf("Overflows() = %d (send-side drops %d), want %d (0)", got, drops, extra)
+	}
+}
