@@ -35,13 +35,15 @@ staticcheck:
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
 
-## fuzzsmoke: short coverage-guided runs of the wire-codec fuzz
-## targets: AppendEncode byte-identical to Encode across the header
-## scope field and every message type, then a long-lived Decoder
-## agreeing with a fresh one.
+## fuzzsmoke: short coverage-guided runs of the fuzz targets:
+## AppendEncode byte-identical to Encode across the header scope field
+## and every message type, a long-lived Decoder agreeing with a fresh
+## one, and the incremental digest tree agreeing with one rebuilt from
+## a reference map after every Put and Delete.
 fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz=FuzzAppendEncode -fuzztime=10s ./internal/protocol
 	$(GO) test -run='^$$' -fuzz=FuzzDecoderReuse -fuzztime=5s ./internal/protocol
+	$(GO) test -run='^$$' -fuzz=FuzzTreeOps -fuzztime=5s ./internal/namespace
 
 build:
 	$(GO) build ./...

@@ -16,9 +16,7 @@
 package namespace
 
 import (
-	"crypto/md5"
 	"crypto/sha256"
-	"hash"
 	"sort"
 )
 
@@ -46,9 +44,6 @@ func (f *Forest) Size() int { return len(f.trees) }
 
 // Tree returns stripe i's tree. The caller owns synchronization.
 func (f *Forest) Tree(i int) *Tree { return f.trees[i] }
-
-// Kind returns the forest's hash kind.
-func (f *Forest) Kind() HashKind { return f.kind }
 
 // RootDigest combines the stripes' top-level children into the digest
 // the unsharded tree would report for the same contents. It refreshes
@@ -97,13 +92,7 @@ func CombineChildren(groups ...[]Child) []Child {
 // root children yields a digest byte-identical to the unsharded
 // tree's RootDigest for the same contents (pinned by golden test).
 func CombineRoot(kind HashKind, children []Child) Digest {
-	var h hash.Hash
-	switch kind {
-	case HashMD5:
-		h = md5.New()
-	default:
-		h = sha256.New()
-	}
+	h := newHash(kind)
 	h.Write(tagInterior)
 	var scratch [64]byte
 	for _, c := range children {

@@ -12,6 +12,11 @@
 // only the mismatching branches. Receivers may also prune branches
 // they have no application-level interest in.
 //
+// The tree is an index over the ADU table, not a second copy of it: a
+// leaf holds its version and its digest, hashed once when the value is
+// Put, never the value. Interior digests are recomputed lazily, along
+// the paths that Put and Delete marked dirty, when a digest is read.
+//
 // The paper uses MD5; we default to SHA-256 truncated to 16 bytes
 // (any one-way hash preserves the behaviour — see DESIGN.md), with
 // MD5 available for fidelity.
@@ -21,6 +26,7 @@ import (
 	"crypto/md5"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash"
 	"sort"
@@ -46,172 +52,186 @@ const (
 // value is not usable; construct with New.
 type Tree struct {
 	root *node
-	kind HashKind
 
-	// Reusable hashing state: refresh runs on every digest query along
-	// the dirty path, so the hasher, its Sum output, and the scratch
-	// buffer for string keys are kept on the Tree instead of being
-	// allocated per node visit. The Tree is single-goroutine, like the
+	// Reusable hashing state: Put hashes every leaf and refresh every
+	// dirty interior node, so the hasher, its Sum output, and the
+	// scratch buffer for string keys are kept on the Tree instead of
+	// being allocated per call. The Tree is single-goroutine, like the
 	// simulators that drive it.
 	h      hash.Hash
 	sum    [sha256.Size]byte
 	strBuf []byte
 }
 
+// node is one namespace node. A leaf is this struct alone (a nil
+// pointer, its version and its digest: the 48-byte size class), so a
+// record costs the tree one small allocation and the garbage collector
+// one pointer. Only interior nodes carry a child map, in an interior.
 type node struct {
-	children map[string]*node
-	names    []string // sorted child names; nil after the child set changes
-	leaf     bool
-	value    []byte
-	version  uint64
-
-	digest    Digest
-	leafCount int
-	dirty     bool
+	in      *interior // nil for a leaf
+	version uint64    // a leaf's version
+	digest  Digest
+	dirty   bool // an interior node whose digest awaits refresh
 }
 
-// sortedNames returns the node's child names in sorted order, cached
-// until the child set changes.
-func (n *node) sortedNames() []string {
-	if n.names == nil {
-		names := make([]string, 0, len(n.children))
-		for name := range n.children {
+type interior struct {
+	children  map[string]*node
+	names     []string // sorted child names; nil after the child set changes
+	leafCount int
+}
+
+// sortedNames returns the child names in sorted order, cached until
+// the child set changes.
+func (in *interior) sortedNames() []string {
+	if in.names == nil {
+		names := make([]string, 0, len(in.children))
+		for name := range in.children {
 			names = append(names, name)
 		}
 		sort.Strings(names)
-		n.names = names
+		in.names = names
 	}
-	return n.names
+	return in.names
+}
+
+// leaves counts the leaves under n as of the last refresh.
+func (n *node) leaves() int {
+	if n.in == nil {
+		return 1
+	}
+	return n.in.leafCount
 }
 
 // New returns an empty namespace tree using the given hash.
 func New(kind HashKind) *Tree {
-	return &Tree{root: newNode(), kind: kind}
+	return &Tree{root: newInterior(), h: newHash(kind)}
 }
 
-func newNode() *node {
-	return &node{children: make(map[string]*node), dirty: true}
+func newInterior() *node {
+	return &node{in: &interior{children: make(map[string]*node)}, dirty: true}
 }
 
-// SplitPath validates and splits a '/'-separated path. The empty
-// string denotes the root.
-func SplitPath(path string) ([]string, error) {
+// component returns the path component starting at off and the offset
+// just past it: len(path) for the last component, else its '/'.
+func component(path string, off int) (name string, end int) {
+	i := strings.IndexByte(path[off:], '/')
+	if i < 0 {
+		return path[off:], len(path)
+	}
+	return path[off : off+i], off + i
+}
+
+// checkPath rejects the paths no leaf can have: the root (""), and any
+// path with an empty component (a leading, trailing or doubled '/').
+func checkPath(path string) error {
 	if path == "" {
-		return nil, nil
+		return errors.New("namespace: cannot Put at the root")
 	}
-	parts := strings.Split(path, "/")
-	for _, p := range parts {
-		if p == "" {
-			return nil, fmt.Errorf("namespace: empty component in path %q", path)
-		}
+	if path[0] == '/' || path[len(path)-1] == '/' || strings.Contains(path, "//") {
+		return fmt.Errorf("namespace: empty component in path %q", path)
 	}
-	return parts, nil
+	return nil
 }
-
-// JoinPath concatenates path components.
-func JoinPath(parts ...string) string { return strings.Join(parts, "/") }
 
 // Put stores a leaf ADU at path, creating interior nodes as needed.
-// Interior nodes cannot be overwritten by leaves or vice versa.
+// The leaf keeps version and the digest H(tag ‖ version ‖ value),
+// hashed here; value itself is not retained. Interior nodes cannot be
+// overwritten by leaves or vice versa, and a rejected Put changes
+// nothing.
 func (t *Tree) Put(path string, value []byte, version uint64) error {
-	parts, err := SplitPath(path)
-	if err != nil {
+	if err := checkPath(path); err != nil {
 		return err
 	}
-	if len(parts) == 0 {
-		return fmt.Errorf("namespace: cannot Put at the root")
+	return t.put(t.root, path, 0, value, version, true)
+}
+
+// Check reports the error Put(path, …) would return, without changing
+// the tree.
+func (t *Tree) Check(path string) error {
+	if err := checkPath(path); err != nil {
+		return err
 	}
-	n := t.root
-	var trail []*node
-	for i, p := range parts {
-		trail = append(trail, n)
-		child, ok := n.children[p]
-		if !ok {
-			child = newNode()
-			n.children[p] = child
-			n.names = nil // child set changed
+	return t.put(t.root, path, 0, nil, 0, false)
+}
+
+// put descends from n, the interior node at path[:off], to the leaf at
+// path, creating what is missing. Every existing node on the way is
+// checked before anything changes: below a missing node nothing can
+// conflict (checkPath vetted the string), and ancestors are marked
+// dirty only while unwinding a successful descent. Without apply, put
+// only reports the conflict.
+func (t *Tree) put(n *node, path string, off int, value []byte, version uint64, apply bool) error {
+	name, end := component(path, off)
+	c := n.in.children[name]
+	if c == nil {
+		if !apply {
+			return nil
 		}
-		if i < len(parts)-1 && child.leaf {
-			return fmt.Errorf("namespace: %q is a leaf, cannot descend", JoinPath(parts[:i+1]...))
+		c = &node{}
+		if end < len(path) {
+			c = newInterior()
 		}
-		n = child
+		n.in.children[name] = c
+		n.in.names = nil // child set changed
 	}
-	if len(n.children) > 0 {
+	switch {
+	case end < len(path) && c.in == nil:
+		return fmt.Errorf("namespace: %q is a leaf, cannot descend", path[:end])
+	case end < len(path):
+		if err := t.put(c, path, end+1, value, version, apply); err != nil {
+			return err
+		}
+	case c.in != nil:
 		return fmt.Errorf("namespace: %q is an interior node, cannot store a leaf", path)
+	case apply:
+		c.version = version
+		c.digest = t.leafDigest(value, version)
 	}
-	n.leaf = true
-	n.value = append(n.value[:0], value...)
-	n.version = version
 	n.dirty = true
-	for _, a := range trail {
-		a.dirty = true
-	}
 	return nil
 }
 
 // Delete removes the leaf at path and prunes empty interior nodes. It
 // reports whether the leaf existed.
 func (t *Tree) Delete(path string) bool {
-	parts, err := SplitPath(path)
-	if err != nil || len(parts) == 0 {
+	return checkPath(path) == nil && t.del(t.root, path, 0)
+}
+
+// del removes the leaf at path from under n, the interior node at
+// path[:off], pruning the interior nodes it empties and marking the
+// ones it keeps dirty.
+func (t *Tree) del(n *node, path string, off int) bool {
+	name, end := component(path, off)
+	c := n.in.children[name]
+	if c == nil || (c.in != nil) != (end < len(path)) {
+		return false // missing, a leaf mid-path, or an interior node at the end
+	}
+	if end < len(path) && !t.del(c, path, end+1) {
 		return false
 	}
-	var trail []*node
-	n := t.root
-	for _, p := range parts {
-		trail = append(trail, n)
-		child, ok := n.children[p]
-		if !ok {
-			return false
-		}
-		n = child
+	if c.in == nil || len(c.in.children) == 0 {
+		delete(n.in.children, name)
+		n.in.names = nil
 	}
-	if !n.leaf {
-		return false
-	}
-	delete(trail[len(trail)-1].children, parts[len(parts)-1])
-	trail[len(trail)-1].names = nil
-	// Prune now-empty interior nodes and dirty the trail.
-	for i := len(trail) - 1; i > 0; i-- {
-		trail[i].dirty = true
-		if len(trail[i].children) == 0 && !trail[i].leaf {
-			delete(trail[i-1].children, parts[i-1])
-			trail[i-1].names = nil
-		}
-	}
-	trail[0].dirty = true
+	n.dirty = true
 	return true
 }
 
+// find returns the node at path; "" is the root.
 func (t *Tree) find(path string) (*node, error) {
-	parts, err := SplitPath(path)
-	if err != nil {
-		return nil, err
-	}
 	n := t.root
-	for _, p := range parts {
-		child, ok := n.children[p]
-		if !ok {
+	for off := 0; path != "" && off <= len(path); {
+		name, end := component(path, off)
+		var c *node
+		if n.in != nil {
+			c = n.in.children[name]
+		}
+		if c == nil {
 			return nil, fmt.Errorf("namespace: no node at %q", path)
 		}
-		n = child
+		n, off = c, end+1
 	}
 	return n, nil
-}
-
-// Get returns the value and version of the leaf at path.
-func (t *Tree) Get(path string) (value []byte, version uint64, ok bool) {
-	n, err := t.find(path)
-	if err != nil || !n.leaf {
-		return nil, 0, false
-	}
-	return n.value, n.version, true
-}
-
-// Has reports whether any node (leaf or interior) exists at path.
-func (t *Tree) Has(path string) bool {
-	_, err := t.find(path)
-	return err == nil
 }
 
 // Hash domain-separation tags (leaf vs interior node preimages).
@@ -220,69 +240,59 @@ var (
 	tagInterior = []byte{0x01}
 )
 
-// hasher returns the Tree's reusable hash, reset and ready to write.
-func (t *Tree) hasher() hash.Hash {
-	if t.h == nil {
-		switch t.kind {
-		case HashMD5:
-			t.h = md5.New()
-		default:
-			t.h = sha256.New()
-		}
-		return t.h
+// newHash returns a fresh one-way hash of the given kind.
+func newHash(kind HashKind) hash.Hash {
+	if kind == HashMD5 {
+		return md5.New()
 	}
-	t.h.Reset()
-	return t.h
+	return sha256.New()
 }
 
-// finish extracts the truncated digest without allocating.
-func (t *Tree) finish(h hash.Hash) Digest {
+// finish extracts the truncated digest of what was written to t.h
+// since its last Reset, without allocating.
+func (t *Tree) finish() Digest {
 	var out Digest
-	copy(out[:], h.Sum(t.sum[:0]))
+	copy(out[:], t.h.Sum(t.sum[:0]))
 	return out
 }
 
-// writeString hashes a string key through the Tree's scratch buffer,
-// avoiding the per-call string→[]byte copy allocation.
-func (t *Tree) writeString(h hash.Hash, s string) {
-	t.strBuf = append(t.strBuf[:0], s...)
-	h.Write(t.strBuf)
+// leafDigest is S(leaf) = H(tag ‖ little-endian version ‖ value).
+func (t *Tree) leafDigest(value []byte, version uint64) Digest {
+	t.h.Reset()
+	t.strBuf = append(t.strBuf[:0], tagLeaf...)
+	t.strBuf = binary.LittleEndian.AppendUint64(t.strBuf, version)
+	t.h.Write(t.strBuf)
+	t.h.Write(value)
+	return t.finish()
 }
 
-// refresh recomputes digests bottom-up where dirty. The preimages are
-// the same byte streams as always — tag ‖ little-endian version ‖
-// value for leaves, tag ‖ (name ‖ child digest)* for interior nodes —
-// written incrementally instead of assembled into slices.
+// refresh recomputes interior digests bottom-up where dirty; a leaf's
+// digest is current from its Put. The interior preimage, tag ‖
+// (name ‖ child digest)*, is written incrementally instead of
+// assembled into a slice.
 func (t *Tree) refresh(n *node) {
 	if !n.dirty {
 		return
 	}
-	if n.leaf {
-		h := t.hasher()
-		t.strBuf = append(t.strBuf[:0], tagLeaf...)
-		t.strBuf = binary.LittleEndian.AppendUint64(t.strBuf, n.version)
-		h.Write(t.strBuf)
-		h.Write(n.value)
-		n.digest = t.finish(h)
-		n.leafCount = 1
-		n.dirty = false
-		return
-	}
 	// Children first: they share the Tree's hasher, so the parent's
 	// own hashing must not be in flight while descending.
-	n.leafCount = 0
-	for _, name := range n.sortedNames() {
-		c := n.children[name]
-		t.refresh(c)
-		n.leafCount += c.leafCount
+	in := n.in
+	in.leafCount = 0
+	for _, name := range in.sortedNames() {
+		c := in.children[name]
+		if c.in != nil {
+			t.refresh(c)
+		}
+		in.leafCount += c.leaves()
 	}
-	h := t.hasher()
-	h.Write(tagInterior)
-	for _, name := range n.sortedNames() {
-		t.writeString(h, name)
-		h.Write(n.children[name].digest[:])
+	t.h.Reset()
+	t.h.Write(tagInterior)
+	for _, name := range in.sortedNames() {
+		t.strBuf = append(t.strBuf[:0], name...) // no string→[]byte allocation
+		t.h.Write(t.strBuf)
+		t.h.Write(in.children[name].digest[:])
 	}
-	n.digest = t.finish(h)
+	n.digest = t.finish()
 	n.dirty = false
 }
 
@@ -309,7 +319,7 @@ func (t *Tree) LeafCount(path string) (int, error) {
 		return 0, err
 	}
 	t.refresh(t.root)
-	return n.leafCount, nil
+	return n.leaves(), nil
 }
 
 // Child summarizes one child of a queried node.
@@ -323,17 +333,10 @@ type Child struct {
 // the payload of a Digests response in the descent protocol.
 func (t *Tree) Children(path string) ([]Child, error) {
 	n, err := t.find(path)
-	if err != nil {
+	if err != nil || n.in == nil {
 		return nil, err
 	}
-	t.refresh(t.root)
-	names := n.sortedNames()
-	out := make([]Child, 0, len(names))
-	for _, name := range names {
-		c := n.children[name]
-		out = append(out, Child{Name: name, Leaf: c.leaf, Digest: c.digest})
-	}
-	return out, nil
+	return t.appendChildren(make([]Child, 0, len(n.in.children)), n), nil
 }
 
 // AppendChildren is Children appending into dst: hot paths that answer
@@ -344,12 +347,19 @@ func (t *Tree) AppendChildren(dst []Child, path string) ([]Child, error) {
 	if err != nil {
 		return dst, err
 	}
-	t.refresh(t.root)
-	for _, name := range n.sortedNames() {
-		c := n.children[name]
-		dst = append(dst, Child{Name: name, Leaf: c.leaf, Digest: c.digest})
+	return t.appendChildren(dst, n), nil
+}
+
+func (t *Tree) appendChildren(dst []Child, n *node) []Child {
+	if n.in == nil {
+		return dst
 	}
-	return dst, nil
+	t.refresh(t.root)
+	for _, name := range n.in.sortedNames() {
+		c := n.in.children[name]
+		dst = append(dst, Child{Name: name, Leaf: c.in == nil, Digest: c.digest})
+	}
+	return dst
 }
 
 // Leaves returns all leaf paths under path (inclusive), sorted.
@@ -361,16 +371,16 @@ func (t *Tree) Leaves(path string) ([]string, error) {
 	var out []string
 	var walk func(n *node, prefix string)
 	walk = func(n *node, prefix string) {
-		if n.leaf {
+		if n.in == nil {
 			out = append(out, prefix)
 			return
 		}
-		for _, name := range n.sortedNames() {
+		for _, name := range n.in.sortedNames() {
 			p := name
 			if prefix != "" {
 				p = prefix + "/" + name
 			}
-			walk(n.children[name], p)
+			walk(n.in.children[name], p)
 		}
 	}
 	walk(n, path)
@@ -380,7 +390,7 @@ func (t *Tree) Leaves(path string) ([]string, error) {
 // Len returns the total number of leaves.
 func (t *Tree) Len() int {
 	t.refresh(t.root)
-	return t.root.leafCount
+	return t.root.in.leafCount
 }
 
 // DiffChildren compares the local children of path against a remote

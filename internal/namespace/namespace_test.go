@@ -1,6 +1,8 @@
 package namespace
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -13,18 +15,35 @@ func mustPut(t *testing.T, tr *Tree, path string, val string, ver uint64) {
 	}
 }
 
+// leafDigest is S(leaf) written out from the paper's definition:
+// H(0x00 ‖ little-endian version ‖ value), truncated.
+func leafDigest(value string, version uint64) Digest {
+	pre := binary.LittleEndian.AppendUint64([]byte{0}, version)
+	sum := sha256.Sum256(append(pre, value...))
+	var d Digest
+	copy(d[:], sum[:])
+	return d
+}
+
 func TestPutGet(t *testing.T) {
 	tr := New(HashSHA256)
 	mustPut(t, tr, "a/b/c", "v1", 1)
-	val, ver, ok := tr.Get("a/b/c")
-	if !ok || string(val) != "v1" || ver != 1 {
-		t.Fatalf("Get = (%q, %d, %v)", val, ver, ok)
+	n, err := tr.find("a/b/c")
+	if err != nil || n.in != nil || n.version != 1 {
+		t.Fatalf("leaf a/b/c = (%+v, %v), want version 1", n, err)
 	}
-	if _, _, ok := tr.Get("a/b"); ok {
-		t.Error("interior node returned as leaf")
+	if d, err := tr.Digest("a/b/c"); err != nil || d != leafDigest("v1", 1) {
+		t.Errorf("Digest(a/b/c) = (%x, %v), want H(tag‖version‖value)", d, err)
 	}
-	if _, _, ok := tr.Get("missing"); ok {
-		t.Error("missing path returned ok")
+	mustPut(t, tr, "a/b/c", "v2", 7)
+	if n.version != 7 || n.digest != leafDigest("v2", 7) {
+		t.Errorf("re-Put leaf = (%d, %x), want version 7 and the new digest", n.version, n.digest)
+	}
+	if n, _ := tr.find("a/b"); n == nil || n.in == nil {
+		t.Error("interior node a/b stored as a leaf")
+	}
+	if _, err := tr.find("missing"); err == nil {
+		t.Error("missing path found")
 	}
 	if tr.Len() != 1 {
 		t.Errorf("Len = %d", tr.Len())
@@ -117,7 +136,7 @@ func TestDelete(t *testing.T) {
 	}
 	// Deleting the last leaf under a branch prunes the branch.
 	tr.Delete("a/b/d")
-	if tr.Has("a") {
+	if _, err := tr.find("a"); err == nil {
 		t.Error("empty interior branch not pruned")
 	}
 	if tr.Len() != 0 {
@@ -287,18 +306,46 @@ func TestPropertyDigestAgreement(t *testing.T) {
 	}
 }
 
-func TestSplitJoin(t *testing.T) {
-	parts, err := SplitPath("a/b/c")
-	if err != nil || len(parts) != 3 {
-		t.Fatalf("SplitPath = (%v, %v)", parts, err)
+// TestRejectedPutChangesNothing: every path a leaf cannot have is
+// refused by Check and by Put alike, and the refused Put leaves the
+// digest, the leaf count and the shape of the tree as they were.
+func TestRejectedPutChangesNothing(t *testing.T) {
+	for _, tc := range []struct{ name, path string }{
+		{"root", ""},
+		{"empty component", "s//x"},
+		{"leading slash", "/s/leaf"},
+		{"trailing slash", "s/new/"},
+		{"lone slash", "/"},
+		{"leaf as parent", "s/leaf/x"},
+		{"leaf as grandparent", "s/leaf/x/y"},
+		{"interior as leaf", "s"},
+		{"deeper interior as leaf", "s/dir"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := New(HashSHA256)
+			mustPut(t, tr, "s/leaf", "v", 1)
+			mustPut(t, tr, "s/dir/x", "w", 2)
+			root, n := tr.RootDigest(), tr.Len()
+			if err := tr.Check(tc.path); err == nil {
+				t.Errorf("Check(%q) accepted", tc.path)
+			}
+			if err := tr.Put(tc.path, []byte("z"), 3); err == nil {
+				t.Fatalf("Put(%q) accepted", tc.path)
+			}
+			if tr.RootDigest() != root || tr.Len() != n {
+				t.Errorf("rejected Put(%q) changed the tree: root %x→%x, Len %d→%d",
+					tc.path, root, tr.RootDigest(), n, tr.Len())
+			}
+			if got, _ := tr.Leaves(""); len(got) != 2 || got[0] != "s/dir/x" || got[1] != "s/leaf" {
+				t.Errorf("leaves after rejected Put(%q) = %v", tc.path, got)
+			}
+		})
 	}
-	if JoinPath(parts...) != "a/b/c" {
-		t.Error("JoinPath round-trip failed")
-	}
-	if p, err := SplitPath(""); err != nil || p != nil {
-		t.Error("root path should split to nil")
-	}
-	if _, err := SplitPath("/a"); err == nil {
-		t.Error("leading slash accepted")
+	tr := New(HashSHA256)
+	mustPut(t, tr, "s/leaf", "v", 1)
+	for _, ok := range []string{"s/leaf", "s/other", "t", "s/new/deep/leaf"} {
+		if err := tr.Check(ok); err != nil {
+			t.Errorf("Check(%q) = %v, want nil", ok, err)
+		}
 	}
 }

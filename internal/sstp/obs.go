@@ -76,6 +76,7 @@ func newSenderMetrics(reg *obs.Registry, classes []Class) senderMetrics {
 type receiverMetrics struct {
 	deliveries  *obs.Counter // sstp_deliveries_total
 	duplicates  *obs.Counter // sstp_duplicates_total
+	rejected    *obs.Counter // sstp_rejected_total (key refused by the namespace)
 	losses      *obs.Counter // sstp_losses_total (inferred from seq gaps)
 	nacksSent   *obs.Counter // sstp_nacks_sent_total
 	suppressed  *obs.Counter // sstp_nacks_suppressed_total
@@ -107,6 +108,7 @@ func newReceiverMetrics(reg *obs.Registry) receiverMetrics {
 	return receiverMetrics{
 		deliveries:  reg.Counter("sstp_deliveries_total"),
 		duplicates:  reg.Counter("sstp_duplicates_total"),
+		rejected:    reg.Counter("sstp_rejected_total"),
 		losses:      reg.Counter("sstp_losses_total"),
 		nacksSent:   reg.Counter("sstp_nacks_sent_total"),
 		suppressed:  reg.Counter("sstp_nacks_suppressed_total"),

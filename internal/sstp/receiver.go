@@ -152,6 +152,7 @@ func (c ReceiverConfig) withDefaults() (ReceiverConfig, error) {
 type ReceiverStats struct {
 	DataReceived    int
 	Duplicates      int
+	Rejected        int // records whose key would shadow a held leaf or interior node
 	SummariesHeard  int
 	MismatchedRoots int
 	QueriesSent     int
@@ -678,21 +679,29 @@ func (r *Receiver) onData(m *protocol.Data) {
 	// OnUpdate enqueue.
 	st.mu.Lock()
 	prev, had := st.sub.Get(table.Key(m.Key), now)
-	var prevVer uint64
-	if had {
-		prevVer = prev.Version
+	isDup := had && prev.Version >= m.Ver
+	sameVer := had && prev.Version == m.Ver
+	if !had && st.ns.Check(m.Key) != nil {
+		// A held key has its leaf in the tree, so only a new one can
+		// shadow a leaf or interior node still held here (a lost
+		// delete, say). Refused whole, it is delivered once that record
+		// expires; admitted to the table alone, it never would be.
+		r.mu.Lock()
+		r.stats.Rejected++
+		r.m.rejected.Inc()
+		r.mu.Unlock()
+		st.mu.Unlock()
+		return
 	}
-	isDup := had && prevVer >= m.Ver
 	changed := st.sub.ApplyBorn(table.Key(m.Key), m.Value, m.Ver, now, ttl, born)
-	delivered := false
 	if changed {
 		if !had {
 			r.replicaN.Add(1)
 		}
-		delivered = st.ns.Put(m.Key, m.Value, m.Ver) == nil
+		st.ns.Put(m.Key, m.Value, m.Ver) // cannot fail: see the check above
 	}
 	r.mu.Lock()
-	if delivered {
+	if changed {
 		r.stats.DataReceived++
 		r.m.deliveries.Inc()
 		traceRecord(r.cfg.Trace, r.cfg.TraceNode, trace.Deliver, m.Key)
@@ -728,7 +737,7 @@ func (r *Receiver) onData(m *protocol.Data) {
 		r.sup.Heard("!d:" + m.Key)
 	}
 	r.mu.Unlock()
-	if changed || (had && prevVer == m.Ver) {
+	if changed || sameVer {
 		// Delivering a new version, or hearing a refresh for exactly
 		// the version we hold, confirms the record is current — the
 		// per-key staleness clock resets. An announcement older than

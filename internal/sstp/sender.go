@@ -729,21 +729,16 @@ func (s *Sender) Republish(key string, value []byte, version uint64, born float6
 }
 
 func (s *Sender) publish(key string, value []byte, version uint64, haveVersion bool, born float64, lifetime time.Duration) error {
-	if _, err := namespace.SplitPath(key); err != nil {
-		return err
-	}
-	if key == "" {
-		return fmt.Errorf("sstp: empty key")
-	}
 	if len(key) > protocol.MaxKeyLen {
 		return fmt.Errorf("sstp: key length %d exceeds %d", len(key), protocol.MaxKeyLen)
 	}
 	if len(value) > protocol.MaxValueLen {
 		return fmt.Errorf("sstp: value length %d exceeds %d", len(value), protocol.MaxValueLen)
 	}
-	// Stripe phase: the table insert and the digest-tree insert are
+	// Stripe phase: the digest-tree insert and the table insert are
 	// atomic under one stripe lock — a summary computed between them
-	// would advertise a digest no repair can ever converge to.
+	// would advertise a digest no repair can ever converge to. The
+	// tree goes first, so a path it refuses never reaches the table.
 	// Versions are assigned from a sender-global counter, not the
 	// per-stripe table counter: the namespace digest covers versions,
 	// so a striped sender must assign the same versions an unsharded
@@ -760,27 +755,20 @@ func (s *Sender) publish(key string, value []byte, version uint64, haveVersion b
 	}
 	st := s.stripeFor(key)
 	st.mu.Lock()
+	if err := st.ns.Put(key, value, version); err != nil {
+		st.mu.Unlock()
+		return err
+	}
 	now := nowSeconds()
 	existed := st.pub.Get(table.Key(key)) != nil
 	if !haveVersion {
 		born = now
 	}
-	rec := st.pub.PutVersionBorn(table.Key(key), value, version, born, now, lifetime.Seconds())
+	st.pub.PutVersionBorn(table.Key(key), value, version, born, now, lifetime.Seconds())
 	if !existed {
 		s.liveN.Add(1)
 	}
-	err := st.ns.Put(key, value, rec.Version)
-	var rollback []string
-	if err != nil {
-		st.expired = st.expired[:0]
-		st.pub.Delete(table.Key(key)) // fires OnExpire: ns cleanup + liveN
-		rollback = append(rollback, st.expired...)
-	}
 	st.mu.Unlock()
-	if err != nil {
-		s.dropExpired(rollback)
-		return err
-	}
 
 	// Global phase: queue bookkeeping under s.mu, stripe lock released.
 	s.mu.Lock()

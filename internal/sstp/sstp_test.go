@@ -58,53 +58,6 @@ func newPair(t *testing.T, loss float64) (*Sender, *Receiver, *transport.MemNetw
 
 func converged(s *Sender, r *Receiver) bool { return s.RootDigest() == r.RootDigest() }
 
-func TestMemNetworkGroups(t *testing.T) {
-	nw := transport.NewMemNetwork(4)
-	s := nw.Endpoint("s")
-	r1 := nw.Endpoint("r1")
-	r2 := nw.Endpoint("r2")
-	nw.Join("g", "s")
-	nw.Join("g", "r1")
-	nw.Join("g", "r2")
-	if _, err := s.WriteTo([]byte("x"), transport.MemAddr("g")); err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []*transport.MemConn{r1, r2} {
-		buf := make([]byte, 8)
-		_ = c.SetReadDeadline(time.Now().Add(time.Second))
-		if _, _, err := c.ReadFrom(buf); err != nil {
-			t.Fatalf("group member did not receive: %v", err)
-		}
-	}
-	// The writer must not hear its own group traffic.
-	buf := make([]byte, 8)
-	_ = s.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
-	if _, _, err := s.ReadFrom(buf); err == nil {
-		t.Fatal("sender heard its own multicast")
-	}
-}
-
-func TestMemNetworkLoss(t *testing.T) {
-	nw := transport.NewMemNetwork(5)
-	a := nw.Endpoint("a")
-	b := nw.Endpoint("b")
-	nw.SetLoss("a", "b", 1)
-	a.WriteTo([]byte("x"), transport.MemAddr("b"))
-	buf := make([]byte, 8)
-	_ = b.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
-	if _, _, err := b.ReadFrom(buf); err == nil {
-		t.Fatal("p=1 path delivered")
-	}
-	if _, err := a.WriteTo([]byte("x"), strAddr("foreign")); err == nil {
-		t.Fatal("foreign addr type accepted")
-	}
-}
-
-type strAddr string
-
-func (s strAddr) Network() string { return "str" }
-func (s strAddr) String() string  { return string(s) }
-
 func TestLosslessConvergence(t *testing.T) {
 	s, r, _ := newPair(t, 0)
 	s.Start()
@@ -864,4 +817,63 @@ func TestPublishValidation(t *testing.T) {
 		t.Error("leaf over interior accepted")
 	}
 	s.Close()
+}
+
+// TestLeafThenChildConverges: a replica that missed a leaf's delete
+// hears a record filed under that leaf. The record conflicts with the
+// stale leaf and must be refused whole — kept out of the table as well
+// as the tree — so that once the stale leaf expires the next
+// announcement delivers it and the digests converge.
+func TestLeafThenChildConverges(t *testing.T) {
+	const ttl = 600 * time.Millisecond
+	nw := transport.NewMemNetwork(23)
+	s, err := NewSender(SenderConfig{
+		Session: 7, SenderID: 1, Conn: nw.Endpoint("sender"), Dest: transport.MemAddr("rcv"),
+		TotalRate: 512_000, SummaryInterval: 50 * time.Millisecond, TTL: ttl, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var updates atomic.Int32
+	r, err := NewReceiver(ReceiverConfig{
+		Session: 7, ReceiverID: 2, Conn: nw.Endpoint("rcv"), FeedbackDest: transport.MemAddr("sender"),
+		NACKWindow: 30 * time.Millisecond, Seed: 2,
+		OnUpdate: func(key string, _ []byte, _ uint64, _ float64) {
+			if key == "a/b" {
+				updates.Add(1)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close(); r.Close() })
+	s.Start()
+	r.Start()
+	if err := s.Publish("a", []byte("leaf"), 0); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 2*time.Second, "leaf a delivered", func() bool { return converged(s, r) && s.Len() == 1 })
+
+	// The delete is announced only while the link is down.
+	nw.SetLinkDown("sender", "rcv")
+	if !s.Delete("a") {
+		t.Fatal("Delete(a) = false")
+	}
+	time.Sleep(150 * time.Millisecond) // every tombstone repeat goes out
+	if err := s.Publish("a/b", []byte("child"), 0); err != nil {
+		t.Fatal(err)
+	}
+	nw.SetLinkUp("sender", "rcv")
+
+	waitFor(t, 2*ttl, "stale leaf a expires", func() bool {
+		_, ok := r.Get("a")
+		return !ok
+	})
+	waitFor(t, ttl, "convergence after a expired", func() bool {
+		return converged(s, r) && updates.Load() == 1
+	})
+	if st := r.Stats(); st.Rejected == 0 {
+		t.Errorf("no record refused while the stale leaf lived: %+v", st)
+	}
 }

@@ -74,3 +74,50 @@ func TestMemConnTruncatingRead(t *testing.T) {
 		t.Fatalf("truncating read = (%d, %q, %v)", n, small, err)
 	}
 }
+
+func TestMemNetworkGroups(t *testing.T) {
+	nw := transport.NewMemNetwork(4)
+	s := nw.Endpoint("s")
+	r1 := nw.Endpoint("r1")
+	r2 := nw.Endpoint("r2")
+	nw.Join("g", "s")
+	nw.Join("g", "r1")
+	nw.Join("g", "r2")
+	if _, err := s.WriteTo([]byte("x"), transport.MemAddr("g")); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*transport.MemConn{r1, r2} {
+		buf := make([]byte, 8)
+		_ = c.SetReadDeadline(time.Now().Add(time.Second))
+		if _, _, err := c.ReadFrom(buf); err != nil {
+			t.Fatalf("group member did not receive: %v", err)
+		}
+	}
+	// The writer must not hear its own group traffic.
+	buf := make([]byte, 8)
+	_ = s.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+	if _, _, err := s.ReadFrom(buf); err == nil {
+		t.Fatal("sender heard its own multicast")
+	}
+}
+
+func TestMemNetworkLoss(t *testing.T) {
+	nw := transport.NewMemNetwork(5)
+	a := nw.Endpoint("a")
+	b := nw.Endpoint("b")
+	nw.SetLoss("a", "b", 1)
+	a.WriteTo([]byte("x"), transport.MemAddr("b"))
+	buf := make([]byte, 8)
+	_ = b.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+	if _, _, err := b.ReadFrom(buf); err == nil {
+		t.Fatal("p=1 path delivered")
+	}
+	if _, err := a.WriteTo([]byte("x"), strAddr("foreign")); err == nil {
+		t.Fatal("foreign addr type accepted")
+	}
+}
+
+type strAddr string
+
+func (s strAddr) Network() string { return "str" }
+func (s strAddr) String() string  { return string(s) }
