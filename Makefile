@@ -38,12 +38,14 @@ staticcheck:
 ## fuzzsmoke: short coverage-guided runs of the fuzz targets:
 ## AppendEncode byte-identical to Encode across the header scope field
 ## and every message type, a long-lived Decoder agreeing with a fresh
-## one, and the incremental digest tree agreeing with one rebuilt from
-## a reference map after every Put and Delete.
+## one, the incremental digest tree agreeing with one rebuilt from a
+## reference map after every Put and Delete, and the record packer
+## returning every record in order within the MTU.
 fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz=FuzzAppendEncode -fuzztime=10s ./internal/protocol
 	$(GO) test -run='^$$' -fuzz=FuzzDecoderReuse -fuzztime=5s ./internal/protocol
 	$(GO) test -run='^$$' -fuzz=FuzzTreeOps -fuzztime=5s ./internal/namespace
+	$(GO) test -run='^$$' -fuzz=FuzzPack -fuzztime=5s ./internal/protocol
 
 build:
 	$(GO) build ./...

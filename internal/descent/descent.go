@@ -2,18 +2,41 @@
 // that every replica runs. A summary mismatch opens a Query for a
 // path; the answer lists that node's children with their digests
 // (Answer); comparing the listing with the local children (Step)
-// yields the interior nodes to Query next and the leaves to NACK.
+// yields the interior nodes to Query next and the leaves to NACK. A
+// replica that answers a NACK from what it holds sends the record
+// Repair encodes.
 //
 // The package holds no state, sockets, goroutines, locks or clock. The
 // sstp sender and receiver and the gossip node call it and keep their
-// own policy: whom they ask, when and how often, and what a NACK is
-// answered with.
+// own policy: whom they ask, when and how often, and whether they
+// answer a NACK at all.
 package descent
 
 import (
+	"math"
+
 	"softstate/internal/namespace"
 	"softstate/internal/protocol"
 )
+
+// Repair returns the wire record that answers a NACK for a held
+// record: version, value (not copied), origin time born (0 = unknown)
+// and the lifetime left at now, rounded up to whole milliseconds so a
+// live record never reads as immortal: TTLms is 0 only when expires is
+// +Inf. ok is false once the record has lapsed. Times are in seconds.
+func Repair(key string, ver uint64, value []byte, born, expires, now float64) (rec protocol.Data, ok bool) {
+	var ttl uint32
+	if !math.IsInf(expires, 1) {
+		rem := expires - now
+		if rem <= 0 {
+			return protocol.Data{}, false
+		}
+		ttl = uint32(min(math.Ceil(rem*1000), math.MaxUint32))
+	}
+	// Rounding, not truncation: a born read off the wire as BornMs/1000
+	// encodes back to the same BornMs.
+	return protocol.Data{Key: key, Ver: ver, TTLms: ttl, BornMs: uint64(math.Round(born * 1000)), Value: value}, true
+}
 
 // Answer appends to dst the Digests replies to a Query for path, whose
 // node has the sorted children kids. Each message lists at most

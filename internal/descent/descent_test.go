@@ -2,6 +2,7 @@ package descent
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -152,6 +153,41 @@ func TestStepMatchesDiffChildren(t *testing.T) {
 	for _, k := range nacks {
 		if !want[k] {
 			t.Errorf("step NACKs %s, which DiffChildren does not flag", k)
+		}
+	}
+}
+
+// TestRepair pins the one conversion from a held record's expiry to
+// the wire's remaining lifetime, and that the origin time rides along.
+func TestRepair(t *testing.T) {
+	const now = 1_700_000_000.0
+	inf := math.Inf(1)
+	for _, tc := range []struct {
+		name          string
+		born, expires float64
+		ok            bool
+		ttl           uint32
+		bornMs        uint64
+	}{
+		{"immortal", now - 5, inf, true, 0, 1_699_999_995_000},
+		{"lapsed", now - 5, now, false, 0, 0},
+		{"lapsed long ago", now - 5, now - 3, false, 0, 0},
+		{"under 1 ms left", now - 5, now + 0.0004, true, 1, 1_699_999_995_000},
+		{"rounds up", now - 5, now + 2.0001, true, 2001, 1_699_999_995_000},
+		{"born unknown", 0, now + 30, true, 30000, 0},
+		{"born from the wire", 1_699_999_999_999.0 / 1000, now + 1, true, 1000, 1_699_999_999_999},
+	} {
+		rec, ok := Repair("a/b", 9, []byte("v"), tc.born, tc.expires, now)
+		if ok != tc.ok {
+			t.Errorf("%s: ok = %v, want %v", tc.name, ok, tc.ok)
+			continue
+		}
+		if !ok {
+			continue
+		}
+		want := protocol.Data{Key: "a/b", Ver: 9, TTLms: tc.ttl, BornMs: tc.bornMs, Value: []byte("v")}
+		if !reflect.DeepEqual(rec, want) {
+			t.Errorf("%s: got %+v, want %+v", tc.name, rec, want)
 		}
 	}
 }

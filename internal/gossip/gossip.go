@@ -43,6 +43,7 @@
 package gossip
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -63,17 +64,11 @@ import (
 	"softstate/internal/xrand"
 )
 
-const (
-	// mtu bounds coalesced pull-reply datagrams, matching the sstp
-	// sender's coalescing budget.
-	mtu = 1400
-
-	// probeEvery is the round period for probing one suspect or
-	// evicted peer (in addition to the main exchange), so a healed
-	// partition or a restarted node is re-discovered without waiting
-	// for it to speak first.
-	probeEvery = 4
-)
+// probeEvery is the round period for probing one suspect or evicted
+// peer (in addition to the main exchange), so a healed partition or a
+// restarted node is re-discovered without waiting for it to speak
+// first.
+const probeEvery = 4
 
 // Config parameterizes a gossip node.
 type Config struct {
@@ -243,8 +238,8 @@ type Node struct {
 	stats    Stats
 
 	// Scratch reused across handler invocations (all under mu).
-	kids   []namespace.Child
-	frames []byte
+	kids []namespace.Child
+	pack protocol.Packer
 
 	m    nodeMetrics
 	done chan struct{}
@@ -295,13 +290,14 @@ func New(cfg Config) (*Node, error) {
 		tombs:     make(map[string]tombstone),
 		peers:     make(map[string]*peer),
 		rnd:       xrand.New(cfg.Seed),
+		pack:      protocol.Packer{Max: protocol.MaxBatch},
 		m:         newNodeMetrics(cfg.Obs, cfg.NodeID),
 		done:      make(chan struct{}),
 	}
 	if cfg.RateBps > 0 {
 		// Burst admits a healthy batch of full datagrams so one pull
 		// reply isn't split across refill cycles.
-		n.bucket = congestion.NewTokenBucket(cfg.RateBps, math.Max(cfg.RateBps/4, 32*mtu*8))
+		n.bucket = congestion.NewTokenBucket(cfg.RateBps, math.Max(cfg.RateBps/4, 32*protocol.MTU*8))
 	}
 	// Expiry write-through: Sweep and Delete run under n.mu, so the
 	// hook must not lock — it only maintains the digest tree and the
@@ -667,11 +663,7 @@ func (n *Node) onDigests(m *protocol.Digests, from net.Addr) {
 	n.m.queriesSent.Add(uint64(len(deeper)))
 	n.m.deletePushbacks.Add(uint64(len(refute)))
 	for at := 0; at < len(pulls); at += protocol.MaxBatch {
-		end := at + protocol.MaxBatch
-		if end > len(pulls) {
-			end = len(pulls)
-		}
-		n.send(&protocol.NACK{Keys: pulls[at:end]}, from, 0)
+		n.send(&protocol.NACK{Keys: pulls[at:min(at+protocol.MaxBatch, len(pulls))]}, from, 0)
 	}
 	for _, p := range deeper {
 		n.send(&protocol.Query{Path: p}, from, 0)
@@ -681,71 +673,49 @@ func (n *Node) onDigests(m *protocol.Digests, from net.Addr) {
 	}
 }
 
-// onNACK serves pulled records, coalescing small ones into DataBatch
-// datagrams up to the MTU. Records carry origin version, BornMs, and
-// remaining lifetime; tombstoned keys are served as death
-// certificates.
+// onNACK serves pulled records, packed into Data/DataBatch datagrams.
+// Records carry origin version, BornMs, and remaining lifetime;
+// tombstoned keys are served as death certificates.
 func (n *Node) onNACK(m *protocol.NACK, from net.Addr) {
 	now := wallSeconds()
 	hdr := protocol.Header{Session: n.cfg.Session, Sender: n.cfg.NodeID, Scope: 1}
-	var dgrams [][]byte
-	frames := n.frames[:0]
-	count := 0
-	flush := func() {
-		if count == 0 {
-			return
-		}
+	var dgrams []*[]byte
+	seal := func() {
 		bp := pktPool.Get().(*[]byte)
-		if count == 1 {
-			// Single record: plain Data framing, byte-identical to the
-			// point-to-point wire.
-			*bp = protocol.AppendDataDatagram((*bp)[:0], hdr, frames[2:])
-		} else {
-			*bp = protocol.AppendBatchDatagram((*bp)[:0], hdr, count, frames)
-		}
-		dgrams = append(dgrams, *bp)
-		frames = frames[:0]
-		count = 0
+		*bp = n.pack.Seal((*bp)[:0], hdr)
+		dgrams = append(dgrams, bp)
 	}
 	n.mu.Lock()
 	served := 0
 	for _, key := range m.Keys {
 		var rec protocol.Data
-		if t, ok := n.tombs[key]; ok {
-			rec = protocol.Data{Key: key, Ver: t.ver, Deleted: true}
-		} else if r := n.pub.Get(table.Key(key)); r != nil && r.Live(now) {
-			ttl := uint32(0)
-			if !math.IsInf(r.Expires, 1) {
-				rem := r.Expires - now
-				if rem <= 0 {
-					continue
-				}
-				ttl = uint32(rem*1000) + 1
-			}
-			rec = protocol.Data{Key: key, Ver: r.Version, TTLms: ttl, BornMs: uint64(r.Born * 1000), Value: r.Value}
-		} else {
+		ok := false
+		if t, dead := n.tombs[key]; dead {
+			rec, ok = protocol.Data{Key: key, Ver: t.ver, Deleted: true}, true
+		} else if r := n.pub.Get(table.Key(key)); r != nil {
+			rec, ok = descent.Repair(key, r.Version, r.Value, r.Born, r.Expires, now)
+		}
+		if !ok {
 			continue
 		}
-		need := protocol.BatchRecordSize(len(rec.Key), len(rec.Value))
-		if count > 0 && (protocol.HeaderLen+2+len(frames)+need > mtu || count == protocol.MaxBatch) {
-			flush()
+		n.pack.Add(&rec)
+		if n.pack.Full() {
+			seal()
 		}
-		frames = protocol.AppendBatchRecord(frames, &rec)
-		count++
 		served++
 	}
-	flush()
-	n.frames = frames[:0]
+	if n.pack.Len() > 0 {
+		seal()
+	}
 	n.stats.RecordsServed += served
 	n.mu.Unlock()
 	n.m.recordsServed.Add(uint64(served))
 	for _, key := range m.Keys {
 		n.traceKey(trace.Repair, key)
 	}
-	for _, d := range dgrams {
-		n.sendRaw(d, from)
-		b := d
-		pktPool.Put(&b)
+	for _, bp := range dgrams {
+		n.sendRaw(*bp, from)
+		pktPool.Put(bp)
 	}
 }
 
@@ -762,18 +732,16 @@ func (n *Node) onData(m *protocol.Data, from net.Addr) {
 		if r := n.pub.Get(table.Key(key)); r != nil && r.Version > m.Ver {
 			// The certificate is stale: the key was republished at a
 			// newer version. Refute it with the live record so the
-			// sender resurrects the key instead of us burying it.
-			reply := protocol.Data{Key: key, Ver: r.Version, BornMs: uint64(r.Born * 1000), Value: append([]byte(nil), r.Value...)}
-			if !math.IsInf(r.Expires, 1) {
-				if rem := r.Expires - now; rem > 0 {
-					reply.TTLms = uint32(rem*1000) + 1
-				}
+			// sender resurrects the key instead of us burying it. A
+			// lapsed record refutes nothing: the certificate buries it.
+			if reply, live := descent.Repair(key, r.Version, r.Value, r.Born, r.Expires, now); live {
+				reply.Value = bytes.Clone(reply.Value)
+				n.stats.RecordsServed++
+				n.mu.Unlock()
+				n.m.recordsServed.Inc()
+				n.send(&reply, from, 0)
+				return
 			}
-			n.stats.RecordsServed++
-			n.mu.Unlock()
-			n.m.recordsServed.Inc()
-			n.send(&reply, from, 0)
-			return
 		}
 		if t, ok := n.tombs[key]; !ok || m.Ver > t.ver {
 			n.tombs[key] = tombstone{ver: m.Ver, at: now}
@@ -797,18 +765,16 @@ func (n *Node) onData(m *protocol.Data, from net.Addr) {
 		}
 		return
 	}
-	var refute *protocol.Data
 	n.mu.Lock()
 	if t, ok := n.tombs[key]; ok && m.Ver <= t.ver {
 		// The key is dead here at an equal-or-newer version: refute the
 		// push with the certificate so the sender drops it too.
 		n.stats.RecordsRejected++
 		n.stats.DeletePushbacks++
-		refute = &protocol.Data{Key: key, Ver: t.ver, Deleted: true}
 		n.mu.Unlock()
 		n.m.recordsRejected.Inc()
 		n.m.deletePushbacks.Inc()
-		n.send(refute, from, 0)
+		n.send(&protocol.Data{Key: key, Ver: t.ver, Deleted: true}, from, 0)
 		return
 	}
 	if cur := n.pub.Get(table.Key(key)); cur != nil && cur.Version >= m.Ver {
@@ -834,15 +800,9 @@ func (n *Node) onData(m *protocol.Data, from net.Addr) {
 	// A version above the tombstone's resurrects the key: retire the
 	// death certificate so descents pull instead of refuting.
 	delete(n.tombs, key)
-	lifetime := 0.0
-	if m.TTLms > 0 {
-		lifetime = float64(m.TTLms) / 1000
-	}
-	born := 0.0
-	if m.BornMs > 0 {
-		born = float64(m.BornMs) / 1000
-	}
-	n.pub.PutVersionBorn(table.Key(key), m.Value, m.Ver, born, now, lifetime)
+	born := float64(m.BornMs) / 1000 // 0: unknown
+	// TTLms 0 is lifetime 0: immortal.
+	n.pub.PutVersionBorn(table.Key(key), m.Value, m.Ver, born, now, float64(m.TTLms)/1000)
 	n.stats.RecordsApplied++
 	n.m.records.Set(float64(n.pub.Len()))
 	n.mu.Unlock()

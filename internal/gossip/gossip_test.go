@@ -10,6 +10,7 @@ import (
 
 	"softstate/internal/namespace"
 	"softstate/internal/obs"
+	"softstate/internal/protocol"
 	"softstate/internal/staleness"
 	"softstate/internal/transport"
 )
@@ -478,5 +479,48 @@ func TestExpiryPropagates(t *testing.T) {
 	})
 	if _, _, ok := nodes[2].Get("keep"); !ok {
 		t.Fatal("immortal record lost")
+	}
+}
+
+// TestLapsedRecordRefutesNothing: a node still holding a record whose
+// lifetime has passed (not yet swept) is sent an older death
+// certificate for the key. A lapsed record is no grounds to refute the
+// certificate, and above all the peer must not come away holding the
+// key as immortal — a refute that carries no remaining lifetime reads
+// as TTLms 0, which means "never expires".
+func TestLapsedRecordRefutesNothing(t *testing.T) {
+	nw := transport.NewMemNetwork(11)
+	nodes := buildMesh(t, nw, 2, Config{Session: 78, Interval: time.Hour})
+	defer closeAll(nodes)
+	holder, peer := nodes[0], nodes[1] // neither started: no sweep, no rounds
+	holder.Publish("k", []byte("v1"), time.Hour)
+	holder.Publish("k", []byte("v2"), 20*time.Millisecond)
+	_, ver, _ := holder.Get("k")
+	time.Sleep(40 * time.Millisecond)
+
+	holder.onData(&protocol.Data{Key: "k", Ver: ver - 1, Deleted: true}, meshAddr(1))
+	buf := make([]byte, 2048)
+	for {
+		_ = peer.cfg.Conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
+		n, from, err := peer.cfg.Conn.ReadFrom(buf)
+		if err != nil {
+			break
+		}
+		_, msg, err := protocol.Decode(buf[:n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m, ok := msg.(*protocol.Data); ok {
+			peer.onData(m, from)
+		}
+	}
+	if _, _, ok := peer.Get("k"); ok {
+		t.Fatal("peer holds the lapsed record after a refute")
+	}
+	if peer.Len() != 0 {
+		t.Fatalf("peer holds %d records, want 0", peer.Len())
+	}
+	if got := holder.Stats().TombstonesApplied; got != 1 {
+		t.Fatalf("holder applied %d certificates, want 1: the lapsed record is buried", got)
 	}
 }

@@ -7,14 +7,20 @@
 // sequence it would have seen from count single-record datagrams
 // (pinned by test in the sstp package).
 //
-// Senders on the hot path never build a DataBatch struct: they append
-// frames incrementally with AppendBatchRecord while walking the
-// announcement queue, then close the datagram with AppendBatchDatagram.
-// The result is byte-identical to AppendEncode(hdr, &DataBatch{...})
-// (pinned by unit test).
+// Senders never build a DataBatch struct: a Packer appends frames
+// incrementally with AppendBatchRecord as records are picked, then
+// seals the datagram with AppendDataDatagram or AppendBatchDatagram.
+// The result is byte-identical to AppendEncode(hdr, &Data{...}) or
+// AppendEncode(hdr, &DataBatch{...}) (pinned by unit test).
 package protocol
 
 import "encoding/binary"
+
+// MTU is the datagram size records are packed up to, conservatively
+// under the common 1500-byte path MTU. A record whose frame alone
+// exceeds the budget still travels whole in its own datagram (IP
+// fragments it).
+const MTU = 1400
 
 // MaxDataFrame is the largest possible encoded Data body plus its
 // uint16 frame-length prefix: flag(1) + key(2+MaxKeyLen) + ver(8) +
@@ -80,4 +86,61 @@ func AppendBatchDatagram(dst []byte, hdr Header, count int, records []byte) []by
 func AppendDataDatagram(dst []byte, hdr Header, body []byte) []byte {
 	dst = appendHeader(dst, hdr, TypeData)
 	return append(dst, body...)
+}
+
+// packBudget is the room for record frames in one MTU datagram.
+const packBudget = MTU - headerLen - batchCountLen
+
+// Packer packs records into datagrams of at most MTU bytes and Max
+// records, sealed in the order they were added: plain Data for one
+// record, DataBatch for several. Steady state allocates nothing. The
+// zero Packer packs one record per datagram.
+type Packer struct {
+	// Max caps the records in one datagram (1..MaxBatch).
+	Max int
+
+	frames []byte // frames[:fit] are sealed next; frames[fit:] is one carried frame
+	fit    int
+	count  int // records in frames[:fit]
+}
+
+// Add appends rec's frame and returns its size. A frame that finds
+// the datagram at Max records or would overrun the budget is carried
+// into the next datagram, and Full reports true; the first frame of a
+// datagram always fits. Seal a Full packer before adding to it.
+func (p *Packer) Add(rec *Data) int {
+	mark := len(p.frames)
+	p.frames = AppendBatchRecord(p.frames, rec)
+	if p.count == 0 || (p.count < p.Max && len(p.frames) <= packBudget) {
+		p.fit = len(p.frames)
+		p.count++
+	}
+	return len(p.frames) - mark
+}
+
+// Len returns the number of records the next Seal emits.
+func (p *Packer) Len() int { return p.count }
+
+// Full reports whether the datagram takes no more records: it holds
+// Max, its budget is used up, or a frame is carried.
+func (p *Packer) Full() bool {
+	return p.count >= p.Max || p.fit >= packBudget || len(p.frames) > p.fit
+}
+
+// Seal appends the packed records to dst as one datagram under hdr,
+// or nothing if none is packed, and starts the next datagram with the
+// carried frame.
+func (p *Packer) Seal(dst []byte, hdr Header) []byte {
+	switch p.count {
+	case 0:
+		return dst
+	case 1:
+		dst = AppendDataDatagram(dst, hdr, p.frames[2:p.fit])
+	default:
+		dst = AppendBatchDatagram(dst, hdr, p.count, p.frames[:p.fit])
+	}
+	carried := copy(p.frames, p.frames[p.fit:])
+	p.frames = p.frames[:carried]
+	p.fit, p.count = carried, min(carried, 1)
+	return dst
 }

@@ -129,20 +129,25 @@ func TestEncodeSingleAlloc(t *testing.T) {
 	}
 }
 
-// TestAppendBatchZeroAlloc pins the packing loop's hot-path contract.
+// TestAppendBatchZeroAlloc pins the packing loop's hot-path contract:
+// once its buffers have grown, a Packer allocates nothing, carried
+// frames included.
 func TestAppendBatchZeroAlloc(t *testing.T) {
-	recs := sampleBatch().Records
-	frames := make([]byte, 0, 4096)
+	recs := append(sampleBatch().Records, sized("big", packBudget-60))
+	p := &Packer{Max: MaxBatch}
 	out := make([]byte, 0, 4096)
-	allocs := testing.AllocsPerRun(100, func() {
-		frames = frames[:0]
+	pack := func() {
 		for i := range recs {
-			frames = AppendBatchRecord(frames, &recs[i])
+			p.Add(&recs[i])
+			if p.Full() {
+				out = p.Seal(out[:0], testHdr)
+			}
 		}
-		out = AppendBatchDatagram(out[:0], testHdr, len(recs), frames)
-	})
-	if allocs != 0 {
-		t.Errorf("batch packing into sized buffers: %v allocs/op, want 0", allocs)
+		out = p.Seal(out[:0], testHdr)
+	}
+	pack()
+	if allocs := testing.AllocsPerRun(100, pack); allocs != 0 {
+		t.Errorf("packing into grown buffers: %v allocs/op, want 0", allocs)
 	}
 }
 
@@ -176,5 +181,73 @@ func BenchmarkProtocolBatchDecode(b *testing.B) {
 		if _, _, err := dec.Decode(buf); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// packAll runs recs through p the way a serving loop does — Add, Seal
+// when Full, Seal the rest — and returns the datagrams.
+func packAll(p *Packer, recs []Data) [][]byte {
+	var out [][]byte
+	for i := range recs {
+		p.Add(&recs[i])
+		if p.Full() {
+			out = append(out, p.Seal(nil, testHdr))
+		}
+	}
+	if p.Len() > 0 {
+		out = append(out, p.Seal(nil, testHdr))
+	}
+	return out
+}
+
+// sized returns a live record whose batch frame is exactly frame bytes.
+func sized(name string, frame int) Data {
+	return Data{Key: name, Ver: 7, TTLms: 3000, BornMs: 1700000000123,
+		Value: bytes.Repeat([]byte{'v'}, frame-BatchRecordSize(len(name), 0))}
+}
+
+// TestPacker pins how records split into datagrams and that each
+// datagram is byte-identical to encoding the same records as a Data
+// (one record) or a DataBatch (several).
+func TestPacker(t *testing.T) {
+	small := func(name string) Data { return sized(name, 40) }
+	for _, tc := range []struct {
+		name   string
+		max    int
+		recs   []Data
+		groups []int // records per datagram, in order
+	}{
+		{"none", MaxBatch, nil, nil},
+		{"one", MaxBatch, []Data{small("a")}, []int{1}},
+		{"two", MaxBatch, []Data{small("a"), {Key: "b", Ver: 2, Deleted: true}}, []int{2}},
+		{"cap", 3, []Data{small("a"), small("b"), small("c"), small("d"), small("e")}, []int{3, 2}},
+		{"zero value packs one", 0, []Data{small("a"), small("b")}, []int{1, 1}},
+		{"frame at budget", MaxBatch, []Data{sized("a", packBudget), small("b")}, []int{1, 1}},
+		{"two fill budget", MaxBatch, []Data{sized("a", packBudget-40), small("b"), small("c")}, []int{2, 1}},
+		{"one byte over", MaxBatch, []Data{sized("a", packBudget-39), small("b")}, []int{1, 1}},
+		{"oversize first", MaxBatch, []Data{sized("a", 3*MTU), small("b"), small("c")}, []int{1, 2}},
+		{"oversize after others", MaxBatch, []Data{small("a"), small("b"), sized("c", 3*MTU), small("d")}, []int{2, 1, 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := &Packer{Max: tc.max}
+			got := packAll(p, tc.recs)
+			if len(got) != len(tc.groups) {
+				t.Fatalf("%d datagrams, want %d", len(got), len(tc.groups))
+			}
+			at := 0
+			for i, n := range tc.groups {
+				var msg Message = &tc.recs[at]
+				if n > 1 {
+					msg = &DataBatch{Records: tc.recs[at : at+n]}
+				}
+				if want := AppendEncode(nil, testHdr, msg); !bytes.Equal(got[i], want) {
+					t.Errorf("datagram %d (%d records):\n got  %x\n want %x", i, n, got[i], want)
+				}
+				if n > 1 && len(got[i]) > MTU {
+					t.Errorf("datagram %d: %d records in %d bytes, over the %d-byte MTU", i, n, len(got[i]), MTU)
+				}
+				at += n
+			}
+		})
 	}
 }

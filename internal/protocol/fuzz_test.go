@@ -118,3 +118,50 @@ func FuzzDecoderReuse(f *testing.F) {
 		}
 	})
 }
+
+// FuzzPack packs records of arbitrary size (two bytes of input each,
+// at most 128 records, so one input stays well under a megabyte) under
+// an arbitrary record cap. Every record must decode back, in order,
+// and every datagram must fit the MTU unless it holds a single record.
+func FuzzPack(f *testing.F) {
+	f.Add(uint8(32), []byte{0, 10, 0, 20, 5, 80, 0, 1})
+	f.Add(uint8(1), []byte{1, 0, 2, 0})
+	f.Add(uint8(0), []byte{0, 0, 0xff, 0xff, 0, 0})
+	f.Fuzz(func(t *testing.T, limit uint8, sizes []byte) {
+		sizes = sizes[:min(len(sizes), 256)]
+		var recs []Data
+		for i := 0; i+1 < len(sizes); i += 2 {
+			n := (int(sizes[i])<<8 | int(sizes[i+1])) % (3 * MTU)
+			recs = append(recs, Data{Key: fmt.Sprintf("k%d", i/2), Ver: uint64(n), Value: bytes.Repeat([]byte{'x'}, n)})
+		}
+		var got []Data
+		for _, dg := range packAll(&Packer{Max: int(limit)}, recs) {
+			_, msg, err := Decode(dg)
+			if err != nil {
+				t.Fatalf("datagram does not decode: %v", err)
+			}
+			switch m := msg.(type) {
+			case *Data:
+				got = append(got, *m)
+			case *DataBatch:
+				if len(dg) > MTU {
+					t.Fatalf("%d records in %d bytes, over the %d-byte MTU", len(m.Records), len(dg), MTU)
+				}
+				if len(m.Records) > max(int(limit), 1) {
+					t.Fatalf("%d records, cap %d", len(m.Records), limit)
+				}
+				got = append(got, m.Records...)
+			default:
+				t.Fatalf("packed a %T", msg)
+			}
+		}
+		if len(got) != len(recs) {
+			t.Fatalf("%d records back, packed %d", len(got), len(recs))
+		}
+		for i := range recs {
+			if got[i].Key != recs[i].Key || got[i].Ver != recs[i].Ver || !bytes.Equal(got[i].Value, recs[i].Value) {
+				t.Fatalf("record %d: got %q v%d, want %q v%d", i, got[i].Key, got[i].Ver, recs[i].Key, recs[i].Ver)
+			}
+		}
+	})
+}

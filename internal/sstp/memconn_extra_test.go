@@ -7,40 +7,6 @@ import (
 	"softstate/internal/transport"
 )
 
-func TestMemNetworkLeave(t *testing.T) {
-	nw := transport.NewMemNetwork(81)
-	a := nw.Endpoint("a")
-	b := nw.Endpoint("b")
-	nw.Join("g", "a")
-	nw.Join("g", "b")
-	nw.Leave("g", "b")
-	a.WriteTo([]byte("x"), transport.MemAddr("g"))
-	buf := make([]byte, 8)
-	_ = b.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
-	if _, _, err := b.ReadFrom(buf); err == nil {
-		t.Fatal("left member still received group traffic")
-	}
-	// Leaving a group you never joined is a no-op.
-	nw.Leave("nonexistent", "a")
-}
-
-func TestMemNetworkDelay(t *testing.T) {
-	nw := transport.NewMemNetwork(82)
-	a := nw.Endpoint("a")
-	b := nw.Endpoint("b")
-	nw.SetDelay("a", "b", 120*time.Millisecond)
-	start := time.Now()
-	a.WriteTo([]byte("x"), transport.MemAddr("b"))
-	buf := make([]byte, 8)
-	_ = b.SetReadDeadline(time.Now().Add(time.Second))
-	if _, _, err := b.ReadFrom(buf); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed < 100*time.Millisecond {
-		t.Errorf("delivered after %v, want ≥ 120ms", elapsed)
-	}
-}
-
 // TestMemNetworkPerLinkLatencyOrdering models two links with distinct
 // propagation delays and checks that one multicast write reaches the
 // near member before the far member — the property relay-tree tests

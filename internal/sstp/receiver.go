@@ -1,6 +1,7 @@
 package sstp
 
 import (
+	"bytes"
 	"fmt"
 	"net"
 	"sync"
@@ -563,52 +564,36 @@ func (r *Receiver) dispatch(hdr protocol.Header, msg protocol.Message) {
 func (r *Receiver) schedulePeerData(key string) {
 	st := r.stripeFor(key)
 	st.mu.Lock()
-	e, ok := st.sub.Get(table.Key(key), nowSeconds())
-	var ver uint64
-	if ok {
-		ver = e.Version
-	}
+	_, held := st.sub.Get(table.Key(key), nowSeconds())
 	st.mu.Unlock()
-	if !ok {
+	if !held {
 		return // we do not hold it either
 	}
-	skey := "!d:" + key
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	fireAt, fresh := r.sup.Schedule(skey, nowSeconds())
-	if !fresh {
+	r.slot("!d:"+key, key, nil, (*Receiver).sendPeerData)
+}
+
+// sendPeerData answers a NACK for key with the record this replica
+// holds, unless it has expired since. Caller must hold no locks.
+func (r *Receiver) sendPeerData(key string) {
+	st := r.stripeFor(key)
+	st.mu.Lock()
+	now := nowSeconds()
+	cur, ok := st.sub.Get(table.Key(key), now)
+	if !ok {
+		st.mu.Unlock()
 		return
 	}
-	r.armTimerLocked(skey, fireAt, func() {
-		r.mu.Lock()
-		if !r.sup.Fire(skey, nowSeconds()) {
-			r.mu.Unlock()
-			return // someone else (sender or peer) repaired it first
-		}
-		r.sup.Repaired(skey)
-		r.mu.Unlock()
-		st.mu.Lock()
-		cur, ok := st.sub.Get(table.Key(key), nowSeconds())
-		if !ok || cur.Version != ver {
-			st.mu.Unlock()
-			return // expired or changed since the NACK
-		}
-		msg := &protocol.Data{
-			Key: key, Ver: cur.Version,
-			TTLms: uint32((cur.Deadline - nowSeconds()) * 1000),
-			Value: append([]byte(nil), cur.Value...),
-		}
-		st.mu.Unlock()
-		if msg.TTLms == 0 {
-			msg.TTLms = 1000
-		}
-		r.mu.Lock()
-		r.stats.PeerDataSent++
-		r.m.peerData.Inc()
-		r.mu.Unlock()
-		traceRecord(r.cfg.Trace, r.cfg.TraceNode, trace.Repair, key)
-		r.sendControl(msg)
-	})
+	// Get has refused a lapsed entry, so Repair cannot.
+	msg, _ := descent.Repair(key, cur.Version, bytes.Clone(cur.Value), cur.Born, cur.Deadline, now)
+	st.mu.Unlock()
+	r.mu.Lock()
+	r.stats.PeerDataSent++
+	r.m.peerData.Inc()
+	r.mu.Unlock()
+	traceRecord(r.cfg.Trace, r.cfg.TraceNode, trace.Repair, key)
+	r.sendControl(&msg)
 }
 
 // schedulePeerDigests slots a digest response for path from this
@@ -617,34 +602,26 @@ func (r *Receiver) schedulePeerDigests(path string) {
 	if kids, ok := r.ns.childrenAt(nil, path); !ok || len(kids) == 0 {
 		return
 	}
-	skey := "!q:" + path
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	fireAt, fresh := r.sup.Schedule(skey, nowSeconds())
-	if !fresh {
+	r.slot("!q:"+path, path, nil, (*Receiver).sendPeerDigests)
+}
+
+// sendPeerDigests answers a Query for path with this replica's child
+// digests. Caller must hold no locks.
+func (r *Receiver) sendPeerDigests(path string) {
+	kids, ok := r.ns.childrenAt(nil, path)
+	if !ok {
 		return
 	}
-	r.armTimerLocked(skey, fireAt, func() {
-		r.mu.Lock()
-		if !r.sup.Fire(skey, nowSeconds()) {
-			r.mu.Unlock()
-			return
-		}
-		r.sup.Repaired(skey)
-		r.mu.Unlock()
-		kids, ok := r.ns.childrenAt(nil, path)
-		if !ok {
-			return
-		}
-		resp := descent.Answer(nil, path, kids)
-		r.mu.Lock()
-		r.stats.PeerDigestsSent += len(resp)
-		r.m.peerDigests.Add(uint64(len(resp)))
-		r.mu.Unlock()
-		for i := range resp {
-			r.sendControl(&resp[i])
-		}
-	})
+	resp := descent.Answer(nil, path, kids)
+	r.mu.Lock()
+	r.stats.PeerDigestsSent += len(resp)
+	r.m.peerDigests.Add(uint64(len(resp)))
+	r.mu.Unlock()
+	for i := range resp {
+		r.sendControl(&resp[i])
+	}
 }
 
 func (r *Receiver) onData(m *protocol.Data) {
@@ -868,57 +845,64 @@ func (r *Receiver) onDigests(m *protocol.Digests) {
 // scheduleQuery slots a namespace query through the suppressor.
 // Caller holds r.mu.
 func (r *Receiver) scheduleQuery(path string) {
-	key := "?" + path
-	fireAt, fresh := r.sup.Schedule(key, nowSeconds())
-	if !fresh {
-		return
-	}
-	var fire func()
-	fire = func() {
-		r.mu.Lock()
-		if !r.sup.Fire(key, nowSeconds()) {
-			r.mu.Unlock()
-			return // suppressed (another member queried) or repaired
-		}
-		r.stats.QueriesSent++
-		r.m.queriesSent.Inc()
-		// Retry with backoff until a Digests response repairs the
-		// pending state — a lost response must not stall the descent.
-		next := r.sup.Reschedule(key, nowSeconds())
-		r.armTimerLocked(key, next, fire)
-		r.mu.Unlock()
-		r.sendControl(&protocol.Query{Path: path})
-	}
-	r.armTimerLocked(key, fireAt, fire)
+	r.slot("?"+path, path, &r.stats.QueriesSent, (*Receiver).sendQuery)
 }
 
-// scheduleNACK slots a repair request through the suppressor, with
-// backoff-driven retries until the data arrives. Caller holds r.mu.
+func (r *Receiver) sendQuery(path string) {
+	r.m.queriesSent.Inc()
+	r.sendControl(&protocol.Query{Path: path})
+}
+
+// scheduleNACK slots a repair request through the suppressor. Caller
+// holds r.mu.
 func (r *Receiver) scheduleNACK(key string) {
-	now := nowSeconds()
-	fireAt, fresh := r.sup.Schedule(key, now)
-	if !fresh {
+	if !r.slot(key, key, &r.stats.NACKsSent, (*Receiver).sendNACK) {
 		return
 	}
 	if _, ok := r.repairT[key]; !ok {
-		r.repairT[key] = now // T_rec clock starts at first repair intent
+		r.repairT[key] = nowSeconds() // T_rec clock starts at first repair intent
+	}
+}
+
+func (r *Receiver) sendNACK(key string) {
+	r.m.nacksSent.Inc()
+	traceRecord(r.cfg.Trace, r.cfg.TraceNode, trace.NACK, key)
+	r.sendControl(&protocol.NACK{Keys: []string{key}})
+}
+
+// slot runs send(r, arg) once a random suppression slot for skey
+// elapses without the slot being heard from another member or
+// repaired. A slot that is already pending is left alone and slot
+// returns false. An ask (asked non-nil) is counted in *asked each time
+// it fires, and stays pending and fires again with backoff until it is
+// repaired, so a lost answer cannot stall the descent; an answer fires
+// once. send runs with no locks held, and is a method expression, not
+// a closure, so a call for a slot already pending allocates nothing.
+// Caller holds r.mu.
+func (r *Receiver) slot(skey, arg string, asked *int, send func(r *Receiver, arg string)) bool {
+	fireAt, fresh := r.sup.Schedule(skey, nowSeconds())
+	if !fresh {
+		return false
 	}
 	var fire func()
 	fire = func() {
 		r.mu.Lock()
-		if !r.sup.Fire(key, nowSeconds()) {
+		now := nowSeconds()
+		if !r.sup.Fire(skey, now) {
 			r.mu.Unlock()
-			return // suppressed or repaired
+			return // heard from another member, or repaired
 		}
-		r.stats.NACKsSent++
-		r.m.nacksSent.Inc()
-		traceRecord(r.cfg.Trace, r.cfg.TraceNode, trace.NACK, key)
-		next := r.sup.Reschedule(key, nowSeconds())
-		r.armTimerLocked(key, next, fire)
+		if asked != nil {
+			*asked++
+			r.armTimerLocked(skey, r.sup.Reschedule(skey, now), fire)
+		} else {
+			r.sup.Repaired(skey)
+		}
 		r.mu.Unlock()
-		r.sendControl(&protocol.NACK{Keys: []string{key}})
+		send(r, arg)
 	}
-	r.armTimerLocked(key, fireAt, fire)
+	r.armTimerLocked(skey, fireAt, fire)
+	return true
 }
 
 // armTimerLocked schedules (or re-schedules) the slot's timer in the

@@ -12,6 +12,7 @@ package sstp
 
 import (
 	"fmt"
+	"maps"
 	"net"
 	"strings"
 	"sync"
@@ -30,12 +31,6 @@ import (
 	"softstate/internal/trace"
 	"softstate/internal/transport"
 )
-
-// coalesceMTU is the datagram size announcements are coalesced up to;
-// conservatively under the common 1500-byte path MTU. Records whose
-// single frame exceeds it are still sent whole in their own datagram
-// (IP fragments them, as before coalescing existed).
-const coalesceMTU = 1400
 
 // tombstoneRepeats is how many times a deletion is announced.
 const tombstoneRepeats = 3
@@ -393,17 +388,13 @@ type Sender struct {
 	started     float64 // publish-rate estimation window start
 	pubBits     float64 // bits published in the window
 
-	// Hot-path reuse: the announcement datagram buffer, the frame
-	// accumulator, and the Data message are owned by whichever
-	// goroutine drives NextWire (sendLoop, or a fabric's writer), the
-	// wait timer by sendLoop's sleeps. Zero allocations per
-	// announcement in steady state.
+	// Hot-path reuse: the announcement datagram buffer and the record
+	// packer are owned by whichever goroutine drives NextWire
+	// (sendLoop, or a fabric's writer), the wait timer by sendLoop's
+	// sleeps. Zero allocations per announcement in steady state.
 	encBuf       []byte
-	frameBuf     []byte   // coalesced record frames for the datagram being built
-	pending      []byte   // frame that overflowed the previous datagram's budget
-	pendingBig   bool     // pending frame alone exceeds the MTU budget
+	pack         protocol.Packer
 	sweepScratch []string // sendLoop-owned copy of a stripe's expired keys
-	dataMsg      protocol.Data
 	waitTimer    *time.Timer
 	readyFn      func(id int) bool // persistent scheduler-ready predicate
 
@@ -449,6 +440,7 @@ func NewSender(cfg SenderConfig) (*Sender, error) {
 		entries:     make(map[string]*sendEntry),
 		classByName: make(map[string]int),
 		bucket:      congestion.NewTokenBucket(cfg.TotalRate, burst),
+		pack:        protocol.Packer{Max: cfg.CoalesceRecords},
 		wake:        make(chan struct{}, 1),
 		done:        make(chan struct{}),
 		started:     nowSeconds(),
@@ -858,18 +850,8 @@ func (s *Sender) Stats() SenderStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.stats
-	if s.stats.SentByClass != nil {
-		st.SentByClass = make(map[string]int, len(s.stats.SentByClass))
-		for k, v := range s.stats.SentByClass {
-			st.SentByClass[k] = v
-		}
-	}
-	if s.stats.BytesByClass != nil {
-		st.BytesByClass = make(map[string]int, len(s.stats.BytesByClass))
-		for k, v := range s.stats.BytesByClass {
-			st.BytesByClass[k] = v
-		}
-	}
+	st.SentByClass = maps.Clone(s.stats.SentByClass)
+	st.BytesByClass = maps.Clone(s.stats.BytesByClass)
 	return st
 }
 
@@ -1017,86 +999,36 @@ func (s *Sender) poke() {
 	}
 }
 
-// nextDatagram builds the next announcement datagram, coalescing up
-// to CoalesceRecords record frames within the MTU budget. One record
-// still travels as a plain Data datagram (byte-identical to the
-// pre-coalescing wire format); two or more become a DataBatch whose
-// records decode in pick order, so the delivery sequence matches
-// one-record datagrams exactly. The returned buffer is owned by the
-// sender and valid until the next call; steady state allocates
-// nothing — frames, pending carry-over, and the wire buffer are all
-// reused.
+// nextDatagram builds the next announcement datagram: records picked
+// in schedule order, packed up to CoalesceRecords within the MTU (see
+// protocol.Packer). The returned buffer is owned by the sender and
+// valid until the next call; steady state allocates nothing.
 func (s *Sender) nextDatagram() ([]byte, bool) {
-	budget := coalesceMTU - protocol.HeaderLen - 2
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.frameBuf = s.frameBuf[:0]
-	count := 0
-	if len(s.pending) > 0 {
-		// A frame that overflowed the previous datagram goes first.
-		if s.pendingBig {
-			// Too large for any MTU budget: send whole in its own
-			// datagram (IP fragments it, as before coalescing).
-			buf := s.emitLocked(s.pending, 1)
-			s.pending = s.pending[:0]
-			s.pendingBig = false
-			return buf, true
-		}
-		s.frameBuf = append(s.frameBuf, s.pending...)
-		s.pending = s.pending[:0]
-		count = 1
+	for !s.pack.Full() && s.pickRecord() {
 	}
-	for count < s.cfg.CoalesceRecords {
-		mark := len(s.frameBuf)
-		var ok bool
-		s.frameBuf, ok = s.pickFrame(s.frameBuf)
-		if !ok {
-			break
-		}
-		if count > 0 && len(s.frameBuf) > budget {
-			// Doesn't fit: carry the frame into the next datagram.
-			s.pending = append(s.pending[:0], s.frameBuf[mark:]...)
-			s.pendingBig = len(s.frameBuf)-mark > budget
-			s.frameBuf = s.frameBuf[:mark]
-			break
-		}
-		count++
-		if len(s.frameBuf) >= budget {
-			break
-		}
-	}
-	if count == 0 {
+	if s.pack.Len() == 0 {
 		return nil, false
 	}
-	return s.emitLocked(s.frameBuf, count), true
-}
-
-// emitLocked seals count record frames into a datagram: plain Data
-// for one record, DataBatch for several. Caller holds s.mu.
-func (s *Sender) emitLocked(frames []byte, count int) []byte {
 	s.seq++
 	hdr := protocol.Header{Session: s.cfg.Session, Sender: s.cfg.SenderID, Seq: s.seq, Scope: s.scope}
-	if count == 1 {
-		s.encBuf = protocol.AppendDataDatagram(s.encBuf[:0], hdr, frames[2:])
-	} else {
-		s.encBuf = protocol.AppendBatchDatagram(s.encBuf[:0], hdr, count, frames)
-	}
+	s.encBuf = s.pack.Seal(s.encBuf[:0], hdr)
 	s.stats.DatagramsSent++
 	s.stats.BytesSent += len(s.encBuf)
 	s.m.txBits.Add(uint64(8 * len(s.encBuf)))
 	s.m.live.Set(float64(s.liveN.Load()))
-	return s.encBuf
+	return s.encBuf, true
 }
 
-// pickFrame pops the next record per the hot/cold schedule and
-// appends its batch frame (2-byte length prefix + Data body) to dst.
-// Caller holds s.mu; the record value is copied out under its stripe
-// lock, never pinned.
-func (s *Sender) pickFrame(dst []byte) ([]byte, bool) {
+// pickRecord pops the next record per the hot/cold schedule and adds
+// it to the packer. Caller holds s.mu; the record value is copied into
+// the packer under its stripe lock, never pinned.
+func (s *Sender) pickRecord() bool {
 	for {
 		leaf, ok := s.share.Pick(s.readyFn)
 		if !ok {
-			return dst, false
+			return false
 		}
 		owner := s.leafOwner[leaf]
 		q := &s.classes[owner[0]].queues[owner[1]]
@@ -1108,11 +1040,10 @@ func (s *Sender) pickFrame(dst []byte) ([]byte, bool) {
 		} else {
 			s.m.annCold.Inc()
 		}
-		mark := len(dst)
+		var frameLen int
 		if e.tombstone > 0 {
 			e.tombstone--
-			s.dataMsg = protocol.Data{Key: e.key, Deleted: true}
-			dst = protocol.AppendBatchRecord(dst, &s.dataMsg)
+			frameLen = s.pack.Add(&protocol.Data{Key: e.key, Deleted: true})
 			if e.tombstone > 0 {
 				s.moveTo(e, sqCold)
 			} else {
@@ -1127,16 +1058,14 @@ func (s *Sender) pickFrame(dst []byte) ([]byte, bool) {
 				s.removeEntry(e)
 				continue // dead entry; keep picking
 			}
-			s.dataMsg = protocol.Data{
+			frameLen = s.pack.Add(&protocol.Data{
 				Key:    e.key,
 				Ver:    rec.Version,
 				TTLms:  uint32(s.cfg.TTL.Milliseconds()),
 				BornMs: uint64(rec.Born * 1000),
 				Value:  rec.Value,
-			}
-			dst = protocol.AppendBatchRecord(dst, &s.dataMsg)
+			})
 			st.mu.Unlock()
-			s.dataMsg.Value = nil // do not pin the record's value buffer
 			if !s.cfg.NoRetransmit {
 				s.moveTo(e, sqCold)
 			}
@@ -1149,7 +1078,6 @@ func (s *Sender) pickFrame(dst []byte) ([]byte, bool) {
 				s.m.byClassSent[e.class].Inc()
 			}
 		}
-		frameLen := len(dst) - mark
 		if s.stats.BytesByClass == nil {
 			s.stats.BytesByClass = make(map[string]int)
 		}
@@ -1159,7 +1087,7 @@ func (s *Sender) pickFrame(dst []byte) ([]byte, bool) {
 		}
 		traceRecord(s.cfg.Trace, s.cfg.TraceNode, trace.Transmit, e.key)
 		s.share.Charge(leaf, float64(8*frameLen))
-		return dst, true
+		return true
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -357,15 +358,20 @@ func TestMulticastConvergenceAndSuppression(t *testing.T) {
 // TestPeerRepairSurvivesSenderDeath exercises the paper's "the sender
 // (or any participant in a multicast session) responds": a receiver
 // that never heard the publisher catches up entirely from its peers
-// after the publisher dies, driven by peer session summaries.
+// after the publisher dies, driven by peer session summaries. A peer
+// repair carries the origin time, so a record's born (and with it
+// t-visibility) is the publisher's, however it arrived.
 func TestPeerRepairSurvivesSenderDeath(t *testing.T) {
 	nw := transport.NewMemNetwork(31)
 	group := transport.MemAddr("g")
 	sc := nw.Endpoint("s")
 	nw.Join(group, "s")
+	var bornMu sync.Mutex
+	born := make([]map[string]float64, 3) // per receiver: key -> born from OnUpdate
 	mkRcv := func(i int) *Receiver {
 		name := transport.MemAddr(fmt.Sprintf("r%d", i))
 		nw.Join(group, name)
+		born[i] = make(map[string]float64)
 		r, err := NewReceiver(ReceiverConfig{
 			Session: 8, ReceiverID: uint64(20 + i),
 			Conn: nw.Endpoint(name), FeedbackDest: group,
@@ -374,6 +380,11 @@ func TestPeerRepairSurvivesSenderDeath(t *testing.T) {
 			NACKWindow:          50 * time.Millisecond,
 			ReportInterval:      -1,
 			Seed:                int64(i),
+			OnUpdate: func(key string, _ []byte, _ uint64, b float64) {
+				bornMu.Lock()
+				born[i][key] = b
+				bornMu.Unlock()
+			},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -421,6 +432,20 @@ func TestPeerRepairSurvivesSenderDeath(t *testing.T) {
 	}
 	if digests == 0 {
 		t.Error("no peer digest responses sent")
+	}
+	// Every key reached r2 only through peers; r0 heard each one from
+	// the publisher, so r0's born is the one on the publisher's wire.
+	waitFor(t, 5*time.Second, "r2 update callbacks", func() bool {
+		bornMu.Lock()
+		defer bornMu.Unlock()
+		return len(born[2]) == 8
+	})
+	bornMu.Lock()
+	defer bornMu.Unlock()
+	for key, b := range born[2] {
+		if b == 0 || b != born[0][key] {
+			t.Errorf("%s: r2 born %.3f via peer repair, publisher stamped %.3f", key, b, born[0][key])
+		}
 	}
 }
 
