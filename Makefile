@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check build vet fmt test race bench benchcheck benchfast benchjson fuzzsmoke crosssmoke cmdguard staticcheck
+.PHONY: check build vet fmt test race bench benchcheck benchfast benchjson fuzzsmoke crosssmoke cmdguard readguard staticcheck
 
 ## check: the extended tier-1 gate — everything a PR must keep green.
-check: fmt vet build race bench benchcheck fuzzsmoke crosssmoke cmdguard
+check: fmt vet build race bench benchcheck fuzzsmoke crosssmoke cmdguard readguard
 
 ## cmdguard: no binary under cmd/ carries a test — none links the test
 ## framework, and no daemon regrows a smoke flag (scenarios live in
@@ -11,6 +11,14 @@ check: fmt vet build race bench benchcheck fuzzsmoke crosssmoke cmdguard
 cmdguard:
 	@! $(GO) list -deps ./cmd/... | grep -qx testing || { echo "a cmd/ binary links the testing package"; exit 1; }
 	@! grep -rnE '"(quick|obssmoke|transport-smoke)"' cmd --include='*.go' --exclude-dir=ssbench
+
+## readguard: every endpoint reads its conn through the one read loop,
+## netio.Serve — no program file outside internal/netio (the loop) and
+## internal/transport (the conns) calls ReadFrom or ReadBatch, so no
+## endpoint regrows a loop of its own.
+readguard:
+	@! grep -rnE '\.Read(From|Batch)\(' internal cmd examples --include='*.go' --exclude='*_test.go' \
+		--exclude-dir=netio --exclude-dir=transport || { echo "a read loop outside internal/netio"; exit 1; }
 
 ## benchcheck: the repo's benchmark (BENCHMARK.json, bench/) is a
 ## module of its own that `./...` does not reach: format, vet and test

@@ -165,8 +165,3 @@ func (e *Engine) CounterConsistency() [][2]int {
 
 // LiveRecords returns the current number of live records.
 func (e *Engine) LiveRecords() int { return len(e.live) }
-
-// QueueLens returns the hot and cold queue lengths.
-func (e *Engine) QueueLens() (hot, cold int) {
-	return e.queues[qHot].Len(), e.queues[qCold].Len()
-}

@@ -5,7 +5,6 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"softstate/internal/netio"
 	"softstate/internal/obs"
@@ -26,8 +25,8 @@ import (
 // not close the underlying conn: the caller that opened the socket
 // still owns its lifetime.
 type Demux struct {
-	conn  net.PacketConn
-	bconn *netio.BatchConn
+	conn     net.PacketConn
+	stopRead func() // stops the shared read loop (netio.Serve)
 
 	mu     sync.Mutex
 	ports  map[uint64]*Port
@@ -40,24 +39,18 @@ type Demux struct {
 	mUnknown  *obs.Counter
 	mOverflow *obs.Counter
 	mForeign  *obs.Counter
-
-	done chan struct{}
-	wg   sync.WaitGroup
 }
 
 // NewDemux wraps conn and starts the shared read loop. reg may be nil.
 func NewDemux(conn net.PacketConn, reg *obs.Registry) *Demux {
 	d := &Demux{
 		conn:      conn,
-		bconn:     netio.Wrap(conn),
 		ports:     make(map[uint64]*Port),
-		done:      make(chan struct{}),
 		mUnknown:  reg.Counter("sstp_fabric_demux_drops_total", "reason", "unknown_session"),
 		mOverflow: reg.Counter("sstp_fabric_demux_drops_total", "reason", "overflow"),
 		mForeign:  reg.Counter("sstp_fabric_demux_drops_total", "reason", "not_sstp"),
 	}
-	d.wg.Add(1)
-	go d.readLoop()
+	d.stopRead = netio.Serve(conn, d.route)
 	return d
 }
 
@@ -97,50 +90,15 @@ func (d *Demux) Close() error {
 		ports = append(ports, p)
 	}
 	d.mu.Unlock()
-	close(d.done)
-	_ = d.conn.SetReadDeadline(time.Now()) // unblock the read loop
-	d.wg.Wait()
+	d.stopRead()
 	for _, p := range ports {
 		_ = p.Close()
 	}
 	return nil
 }
 
-// readLoop drains the shared socket in batches and routes each
-// datagram to its session's port. Only the kernel batch path fills
-// more than one buffer per call, so any other conn gets one.
-func (d *Demux) readLoop() {
-	defer d.wg.Done()
-	batch := 1
-	if d.bconn.Batched() {
-		batch = 16
-	}
-	bufs := make([][]byte, batch)
-	for i := range bufs {
-		bufs[i] = make([]byte, netio.MaxDatagram)
-	}
-	sizes := make([]int, batch)
-	addrs := make([]net.Addr, batch)
-	for {
-		select {
-		case <-d.done:
-			return
-		default:
-		}
-		_ = d.conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
-		n, err := d.bconn.ReadBatch(bufs, sizes, addrs)
-		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				continue
-			}
-			return
-		}
-		for i := 0; i < n; i++ {
-			d.route(bufs[i][:sizes[i]], addrs[i])
-		}
-	}
-}
-
+// route hands one datagram off the shared socket to its session's
+// port.
 func (d *Demux) route(b []byte, from net.Addr) {
 	session, ok := protocol.PeekSession(b)
 	if !ok {
@@ -174,9 +132,6 @@ type Port struct {
 	d       *Demux
 	session uint64
 }
-
-// Session returns the session id this port filters for.
-func (p *Port) Session() uint64 { return p.session }
 
 // WriteTo implements net.PacketConn, passing through to the shared
 // socket (datagram writes are concurrency-safe across ports).

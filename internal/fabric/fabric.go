@@ -205,14 +205,10 @@ func New(cfg Config) (*Fabric, error) {
 	return f, nil
 }
 
-// Port exposes the shared socket's per-session virtual conn — the
-// receiver side of a fabric link uses a second Demux the same way.
-func (f *Fabric) Port(session uint64) *Port { return f.demux.Port(session) }
-
 // AddSender creates a driven SSTP sender for one tenant session and
 // registers it with the scheduler at the given weight. cfg.Conn is
 // replaced with the fabric's per-session feedback port (the tenant's
-// recvLoop hears only its own session's NACKs/queries/reports);
+// read loop hears only its own session's NACKs/queries/reports);
 // cfg.Dest addresses the tenant's receivers over the shared link.
 // All AddSender calls must precede Start.
 func (f *Fabric) AddSender(cfg sstp.SenderConfig, weight float64) (*sstp.Sender, error) {

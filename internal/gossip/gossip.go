@@ -241,10 +241,11 @@ type Node struct {
 	kids []namespace.Child
 	pack protocol.Packer
 
-	m    nodeMetrics
-	done chan struct{}
-	wg   sync.WaitGroup
-	once sync.Once
+	m        nodeMetrics
+	stopRead func() // stops the read loop (netio.Serve)
+	done     chan struct{}
+	wg       sync.WaitGroup
+	once     sync.Once
 }
 
 // wallSeconds is the float-seconds wall clock shared with the tables.
@@ -332,23 +333,45 @@ func (n *Node) addPeerLocked(a net.Addr) *peer {
 	if p, ok := n.peers[key]; ok {
 		return p
 	}
-	p := &peer{addr: a}
+	p := &peer{addr: cloneAddr(a)}
 	n.peers[key] = p
 	n.order = append(n.order, p)
 	return p
 }
 
-// Start launches the receive and round loops.
+// cloneAddr copies a UDP address: on the kernel batch path the read
+// loop reuses its address structs from one read to the next. Other
+// conns never reuse the address they hand out.
+func cloneAddr(a net.Addr) net.Addr {
+	if ua, ok := a.(*net.UDPAddr); ok {
+		c := *ua
+		c.IP = append(net.IP(nil), ua.IP...)
+		return &c
+	}
+	return a
+}
+
+// Start launches the read and round loops.
 func (n *Node) Start() {
-	n.wg.Add(2)
-	go n.recvLoop()
+	n.wg.Add(1)
 	go n.roundLoop()
+	dec := protocol.NewDecoder()
+	n.stopRead = netio.Serve(n.cfg.Conn, func(b []byte, from net.Addr) {
+		hdr, msg, err := dec.Decode(b)
+		if err != nil || hdr.Session != n.cfg.Session || hdr.Sender == n.cfg.NodeID || from == nil {
+			return
+		}
+		n.dispatch(hdr, msg, n.markAlive(from, len(b)))
+	})
 }
 
 // Close stops the node. The conn is left open (the caller owns it).
 func (n *Node) Close() error {
 	n.once.Do(func() {
 		close(n.done)
+		if n.stopRead != nil {
+			n.stopRead()
+		}
 		n.wg.Wait()
 	})
 	return nil
@@ -502,39 +525,13 @@ func (n *Node) sendSummary(dest net.Addr, seq uint32) {
 
 // --- receive path ---
 
-func (n *Node) recvLoop() {
-	defer n.wg.Done()
-	dec := protocol.NewDecoder()
-	buf := make([]byte, netio.MaxDatagram)
-	for {
-		select {
-		case <-n.done:
-			return
-		default:
-		}
-		_ = n.cfg.Conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
-		sz, from, err := n.cfg.Conn.ReadFrom(buf)
-		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				continue
-			}
-			return
-		}
-		hdr, msg, err := dec.Decode(buf[:sz])
-		if err != nil || hdr.Session != n.cfg.Session || hdr.Sender == n.cfg.NodeID || from == nil {
-			continue
-		}
-		n.markAlive(from, sz)
-		n.dispatch(hdr, msg, from)
-	}
-}
-
 // markAlive refreshes the sender's membership entry: any datagram
 // proves liveness, resets suspicion, and rejoins an evicted peer.
 // Unknown senders are added to the view, which is how a restarted node
 // (or one behind a healed partition) is re-discovered when it speaks
-// first.
-func (n *Node) markAlive(from net.Addr, nbytes int) {
+// first. It returns the view's own copy of the address, which outlives
+// the read loop's reused one.
+func (n *Node) markAlive(from net.Addr, nbytes int) net.Addr {
 	n.mu.Lock()
 	n.stats.BytesReceived += int64(nbytes)
 	p := n.addPeerLocked(from)
@@ -544,11 +541,13 @@ func (n *Node) markAlive(from net.Addr, nbytes int) {
 	if rejoined {
 		n.stats.Rejoins++
 	}
+	addr := p.addr
 	n.mu.Unlock()
 	n.m.rxBytes.Add(uint64(nbytes))
 	if rejoined {
 		n.m.rejoins.Inc()
 	}
+	return addr
 }
 
 func (n *Node) dispatch(hdr protocol.Header, msg protocol.Message, from net.Addr) {

@@ -9,6 +9,8 @@
 // set on the wrapped conn are honored on both paths: the raw path
 // waits for readiness in the runtime poller, which is what enforces
 // SetReadDeadline.
+//
+// Serve is the one read loop every endpoint runs over its conn.
 package netio
 
 import (

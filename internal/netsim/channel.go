@@ -85,9 +85,6 @@ func (c *Channel) AddReceiver(loss LossModel, delay float64) int {
 	return len(c.paths) - 1
 }
 
-// Receivers returns the number of attached receiver paths.
-func (c *Channel) Receivers() int { return len(c.paths) }
-
 // Rate returns the channel's service rate in bits per second.
 func (c *Channel) Rate() float64 { return c.rate }
 
@@ -235,9 +232,6 @@ func NewFeedbackLink(sim *eventsim.Sim, rate float64, loss LossModel, delay floa
 	f.done = f.serviceDone
 	return f
 }
-
-// Rate returns the link rate in bits per second.
-func (f *FeedbackLink) Rate() float64 { return f.rate }
 
 // SetRate changes the link rate for subsequent services.
 func (f *FeedbackLink) SetRate(rate float64) {

@@ -22,12 +22,6 @@ import "encoding/binary"
 // fragments it).
 const MTU = 1400
 
-// MaxDataFrame is the largest possible encoded Data body plus its
-// uint16 frame-length prefix: flag(1) + key(2+MaxKeyLen) + ver(8) +
-// ttl(4) + born(8) + value(4+MaxValueLen). It fits a uint16 length
-// with room to spare, which the frame format relies on.
-const MaxDataFrame = 2 + 1 + 2 + MaxKeyLen + 8 + 4 + 8 + 4 + MaxValueLen
-
 // batchCountLen is the uint16 record count that opens a batch body.
 const batchCountLen = 2
 

@@ -495,8 +495,5 @@ func (r *Relay) RootDigest() namespace.Digest { return r.up.RootDigest() }
 // snapshot).
 func (r *Relay) Upstream() *sstp.Receiver { return r.up }
 
-// NumDownstreams returns the number of downstream links.
-func (r *Relay) NumDownstreams() int { return len(r.downs) }
-
 // DownstreamSender exposes downstream link i's sender (stats, digest).
 func (r *Relay) DownstreamSender(i int) *sstp.Sender { return r.downs[i] }

@@ -147,13 +147,6 @@ func (h *Hierarchy) mustBeInterior(n *Node) {
 	}
 }
 
-// Leaves returns the number of leaf classes.
-func (h *Hierarchy) Leaves() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.leaves)
-}
-
 // SetNodeWeight changes a node's share among its siblings. Safe to
 // call while another goroutine is inside Pick or Charge.
 func (h *Hierarchy) SetNodeWeight(n *Node, weight float64) {

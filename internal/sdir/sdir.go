@@ -13,7 +13,6 @@ package sdir
 
 import (
 	"fmt"
-	"net"
 	"sort"
 	"strconv"
 	"strings"
@@ -288,45 +287,9 @@ func (b *Browser) List() []Session {
 	return out
 }
 
-// Active returns the sessions in progress at time t, sorted by name.
-func (b *Browser) Active(t time.Time) []Session {
-	var out []Session
-	for _, s := range b.List() {
-		if s.Active(t) {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // Len returns the catalogue size.
 func (b *Browser) Len() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return len(b.sessions)
-}
-
-// Dial is a convenience constructor wiring a Directory and Browser
-// over UDP for the common unicast case; see the examples and tests
-// for multicast and in-memory setups built directly from the sstp
-// configs.
-func Dial(session uint64, laddr, raddr string, rate float64) (*Directory, *sstp.Sender, error) {
-	conn, err := net.ListenPacket("udp", laddr)
-	if err != nil {
-		return nil, nil, err
-	}
-	dst, err := net.ResolveUDPAddr("udp", raddr)
-	if err != nil {
-		conn.Close()
-		return nil, nil, err
-	}
-	s, err := sstp.NewSender(sstp.SenderConfig{
-		Session: session, SenderID: uint64(time.Now().UnixNano()),
-		Conn: conn, Dest: dst, TotalRate: rate,
-	})
-	if err != nil {
-		conn.Close()
-		return nil, nil, err
-	}
-	return NewDirectory(s), s, nil
 }

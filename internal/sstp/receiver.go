@@ -210,7 +210,8 @@ type Receiver struct {
 
 	// Pending repair timers: one heap + one goroutine (timerLoop)
 	// instead of a runtime timer per slot. timerKick wakes the loop
-	// when an earlier deadline is armed.
+	// when an earlier deadline is armed. The same loop runs the
+	// receiver's periodic work (sweep, report, peer summary).
 	timerByKey map[string]*timerEntry
 	theap      timerHeap
 	timerKick  chan struct{}
@@ -225,16 +226,17 @@ type Receiver struct {
 	cbFree []appCallback
 	cbKick chan struct{}
 
-	// Descent-step reuse, owned by recvLoop (onDigests runs there and
-	// nowhere else): the local child listing and the NACK and query
+	// Descent-step reuse, owned by the read loop (onDigests runs there
+	// and nowhere else): the local child listing and the NACK and query
 	// path accumulators are recycled across datagrams.
 	dLocal   []namespace.Child
 	dNacks   []string
 	dQueries []string
 
-	done chan struct{}
-	wg   sync.WaitGroup
-	once sync.Once
+	stopRead func() // stops the read loop (netio.Serve)
+	done     chan struct{}
+	wg       sync.WaitGroup
+	once     sync.Once
 }
 
 // appCallback is one queued OnUpdate/OnExpire/OnGoodbye delivery.
@@ -301,50 +303,30 @@ func (r *Receiver) stripeFor(key string) *recvStripe {
 // method is nil-safe, so callers may still chain through it).
 func (r *Receiver) Consistency() *staleness.Estimator { return r.cfg.Consistency }
 
-// Start launches the listen, sweep, timer, dispatch, and report loops.
+// Start launches the receiver's three goroutines: the read loop, the
+// timer loop (repair slots plus the periodic sweep, report and peer
+// summary) and the callback dispatcher.
 func (r *Receiver) Start() {
-	r.wg.Add(4)
-	go r.recvLoop()
-	go r.sweepLoop()
+	r.wg.Add(2)
 	go r.timerLoop()
 	go r.callbackLoop()
-	if !r.cfg.DisableFeedback && r.cfg.ReportInterval > 0 {
-		r.wg.Add(1)
-		go r.reportLoop()
-	}
-	if r.cfg.PeerRepair && r.cfg.PeerSummaryInterval > 0 {
-		r.wg.Add(1)
-		go r.peerSummaryLoop()
-	}
-}
-
-// peerSummaryLoop announces this replica's root digest as a session
-// message so that divergence is detectable peer-to-peer.
-func (r *Receiver) peerSummaryLoop() {
-	defer r.wg.Done()
-	tick := time.NewTicker(r.cfg.PeerSummaryInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-r.done:
+	dec := protocol.NewDecoder()
+	r.stopRead = netio.Serve(r.cfg.Conn, func(b []byte, _ net.Addr) {
+		hdr, msg, err := dec.Decode(b)
+		if err != nil || hdr.Session != r.cfg.Session || hdr.Sender == r.cfg.ReceiverID {
 			return
-		case <-tick.C:
-			digest, count := r.ns.rootSummary()
-			if count == 0 {
-				continue // nothing to advertise yet
-			}
-			sum := &protocol.Summary{Count: uint32(count)}
-			copy(sum.Digest[:], digest[:])
-			r.sendControl(sum)
 		}
-	}
+		r.dispatch(hdr, msg)
+	})
 }
 
 // Close stops the receiver.
 func (r *Receiver) Close() error {
 	r.once.Do(func() {
 		close(r.done)
-		_ = r.cfg.Conn.SetReadDeadline(time.Now())
+		if r.stopRead != nil {
+			r.stopRead()
+		}
 	})
 	r.wg.Wait()
 	return nil
@@ -418,56 +400,6 @@ func (r *Receiver) PublisherScope() (scope uint8, ok bool) {
 
 func (r *Receiver) interested(path string) bool {
 	return r.cfg.Interest == nil || r.cfg.Interest(path)
-}
-
-// recvBatch is how many datagrams one ReadBatch call can surface on
-// the kernel batch path (one recvmmsg on Linux). Every other conn is
-// read one datagram at a time, so its loop holds a single buffer.
-const recvBatch = 8
-
-func (r *Receiver) recvLoop() {
-	defer r.wg.Done()
-	bc := netio.Wrap(r.cfg.Conn)
-	batch := 1
-	if bc.Batched() {
-		batch = recvBatch
-	}
-	bps := make([]*[]byte, batch)
-	bufs := make([][]byte, batch)
-	for i := range bufs {
-		bps[i] = readBufPool.Get().(*[]byte)
-		bufs[i] = *bps[i]
-	}
-	defer func() {
-		for _, bp := range bps {
-			readBufPool.Put(bp)
-		}
-	}()
-	sizes := make([]int, batch)
-	addrs := make([]net.Addr, batch)
-	dec := protocol.NewDecoder()
-	for {
-		select {
-		case <-r.done:
-			return
-		default:
-		}
-		_ = r.cfg.Conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
-		n, err := bc.ReadBatch(bufs, sizes, addrs)
-		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				continue
-			}
-			return
-		}
-		for i := 0; i < n; i++ {
-			hdr, msg, err := dec.Decode(bufs[i][:sizes[i]])
-			if err != nil || hdr.Session != r.cfg.Session || hdr.Sender == r.cfg.ReceiverID {
-				continue
-			}
-			r.dispatch(hdr, msg)
-		}
-	}
 }
 
 func (r *Receiver) dispatch(hdr protocol.Header, msg protocol.Message) {
@@ -923,11 +855,44 @@ func (r *Receiver) armTimerLocked(key string, fireAt float64, fn func()) {
 	}
 }
 
-// timerLoop runs every armed repair timer from a single goroutine:
-// sleep until the earliest heap deadline (or a kick arms an earlier
-// one), pop everything due, and run the callbacks outside r.mu — the
-// callbacks take the lock themselves, exactly as the per-key
-// time.AfterFunc bodies used to.
+// sweepInterval is the cadence of the replica expiry sweep.
+const sweepInterval = 250 * time.Millisecond
+
+// chore is one periodic job of the timer loop: it runs once next has
+// passed, then every every.
+type chore struct {
+	next  time.Time
+	every time.Duration
+	run   func()
+}
+
+// chores returns the receiver's periodic jobs, first due one period
+// after now: the expiry sweep always, the receiver report unless
+// feedback or reports are off, and the peer summary with peer repair.
+func (r *Receiver) chores(now time.Time) []chore {
+	sweeps := 0
+	cs := []chore{{every: sweepInterval, run: func() {
+		sweeps++
+		r.sweep(sweeps%8 == 0)
+	}}}
+	if !r.cfg.DisableFeedback && r.cfg.ReportInterval > 0 {
+		cs = append(cs, chore{every: r.cfg.ReportInterval, run: r.report})
+	}
+	if r.cfg.PeerRepair && r.cfg.PeerSummaryInterval > 0 {
+		cs = append(cs, chore{every: r.cfg.PeerSummaryInterval, run: r.peerSummary})
+	}
+	for i := range cs {
+		cs[i].next = now.Add(cs[i].every)
+	}
+	return cs
+}
+
+// timerLoop is the receiver's one clock. It runs every armed repair
+// timer: sleep until the earliest heap deadline (or a kick arms an
+// earlier one), pop everything due, and run the callbacks outside
+// r.mu — the callbacks take the lock themselves, exactly as the
+// per-key time.AfterFunc bodies used to. Beside the heap it runs the
+// chores, also with no lock held, and never sleeps past the next one.
 func (r *Receiver) timerLoop() {
 	defer r.wg.Done()
 	timer := time.NewTimer(time.Hour)
@@ -936,6 +901,7 @@ func (r *Receiver) timerLoop() {
 	}
 	defer timer.Stop()
 	var due []*timerEntry // scratch, reused across rounds
+	chores := r.chores(time.Now())
 	for {
 		r.mu.Lock()
 		now := nowSeconds()
@@ -953,26 +919,33 @@ func (r *Receiver) timerLoop() {
 			}
 		}
 		r.mu.Unlock()
-		if len(due) > 0 {
-			for i, e := range due {
-				select {
-				case <-r.done:
-					return
-				default:
-				}
-				e.fn()
-				due[i] = nil
-			}
-			continue // callbacks may have re-armed; recompute the deadline
-		}
-		if wait < 0 {
-			// Heap empty: sleep until something is armed.
+		for i, e := range due {
 			select {
 			case <-r.done:
 				return
-			case <-r.timerKick:
+			default:
 			}
-			continue
+			e.fn()
+			due[i] = nil
+		}
+		busy := len(due) > 0
+		at := time.Now()
+		for i := range chores {
+			c := &chores[i]
+			if !at.Before(c.next) {
+				c.run()
+				busy = true
+				// Missed periods are dropped, as a time.Ticker drops them.
+				if c.next = c.next.Add(c.every); !c.next.After(at) {
+					c.next = at.Add(c.every)
+				}
+			}
+			if w := c.next.Sub(at); wait < 0 || w < wait {
+				wait = w
+			}
+		}
+		if busy {
+			continue // work ran and callbacks may have re-armed; recompute the deadline
 		}
 		timer.Reset(wait)
 		select {
@@ -1127,9 +1100,6 @@ func (r *Receiver) SetFeedbackDest(dest net.Addr) {
 	r.mu.Unlock()
 }
 
-// FeedbackDest returns where repair and report traffic currently goes.
-func (r *Receiver) FeedbackDest() net.Addr { return *r.fbDest.Load() }
-
 // LastHeard returns the wall-clock time (seconds, the table time base)
 // of the most recent datagram from the learned publisher, and whether
 // a publisher has been heard at all since Start (or since the last
@@ -1140,62 +1110,55 @@ func (r *Receiver) LastHeard() (float64, bool) {
 	return r.lastHeard, r.pubSeen
 }
 
-func (r *Receiver) sweepLoop() {
-	defer r.wg.Done()
-	tick := time.NewTicker(250 * time.Millisecond)
-	defer tick.Stop()
-	ticks := 0
-	for {
-		select {
-		case <-r.done:
-			return
-		case <-tick.C:
-			now := nowSeconds()
-			for _, st := range r.stripes {
-				st.mu.Lock()
-				st.sub.Sweep(now) // OnExpire fires under the stripe lock
-				st.mu.Unlock()
-			}
-			r.m.replica.Set(float64(r.replicaN.Load()))
-			r.mu.Lock()
-			for key, t0 := range r.repairT {
-				if now-t0 > 120 {
-					delete(r.repairT, key) // repair abandoned
-				}
-			}
-			r.mu.Unlock()
-			// Refresh the windowed consistency gauges at a gentler
-			// cadence: the staleness-age quantiles sort all tracked
-			// keys, which is too dear to redo every 250ms.
-			if ticks++; r.cfg.Consistency != nil && ticks%8 == 0 {
-				r.m.setConsistency(r.cfg.Consistency.SnapshotAt(now))
-			}
+// sweep expires timed-out records, forgets abandoned repairs and, when
+// gauges is set, refreshes the windowed consistency gauges: the
+// staleness-age quantiles sort all tracked keys, which is too dear to
+// redo on every sweep.
+func (r *Receiver) sweep(gauges bool) {
+	now := nowSeconds()
+	for _, st := range r.stripes {
+		st.mu.Lock()
+		st.sub.Sweep(now) // OnExpire fires under the stripe lock
+		st.mu.Unlock()
+	}
+	r.m.replica.Set(float64(r.replicaN.Load()))
+	r.mu.Lock()
+	for key, t0 := range r.repairT {
+		if now-t0 > 120 {
+			delete(r.repairT, key) // repair abandoned
 		}
+	}
+	r.mu.Unlock()
+	if gauges && r.cfg.Consistency != nil {
+		r.m.setConsistency(r.cfg.Consistency.SnapshotAt(now))
 	}
 }
 
-func (r *Receiver) reportLoop() {
-	defer r.wg.Done()
-	tick := time.NewTicker(r.cfg.ReportInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-r.done:
-			return
-		case <-tick.C:
-			r.mu.Lock()
-			r.est.IntervalLoss()
-			rep := &protocol.Report{}
-			recv, exp := r.est.Counts()
-			rep.Received = uint32(recv)
-			rep.Expected = uint32(exp)
-			rep.SetLoss(r.est.Smoothed())
-			rep.Timestamp = uint64(time.Now().UnixMilli())
-			r.stats.ReportsSent++
-			r.m.reportsSent.Inc()
-			r.m.loss.Set(r.est.Smoothed())
-			r.mu.Unlock()
-			r.sendControl(rep)
-		}
+// report sends one RTCP-style receiver report.
+func (r *Receiver) report() {
+	r.mu.Lock()
+	r.est.IntervalLoss()
+	rep := &protocol.Report{}
+	recv, exp := r.est.Counts()
+	rep.Received = uint32(recv)
+	rep.Expected = uint32(exp)
+	rep.SetLoss(r.est.Smoothed())
+	rep.Timestamp = uint64(time.Now().UnixMilli())
+	r.stats.ReportsSent++
+	r.m.reportsSent.Inc()
+	r.m.loss.Set(r.est.Smoothed())
+	r.mu.Unlock()
+	r.sendControl(rep)
+}
+
+// peerSummary announces this replica's root digest as a session
+// message so that divergence is detectable peer-to-peer.
+func (r *Receiver) peerSummary() {
+	digest, count := r.ns.rootSummary()
+	if count == 0 {
+		return // nothing to advertise yet
 	}
+	sum := &protocol.Summary{Count: uint32(count)}
+	copy(sum.Digest[:], digest[:])
+	r.sendControl(sum)
 }

@@ -398,7 +398,7 @@ type Sender struct {
 	waitTimer    *time.Timer
 	readyFn      func(id int) bool // persistent scheduler-ready predicate
 
-	// Query-path reuse, owned by recvLoop: the child listing scratch
+	// Query-path reuse, owned by the read loop: the child listing scratch
 	// and the Digests replies are recycled across queries (send encodes
 	// synchronously, so the replies are free again on return).
 	qKids []namespace.Child
@@ -419,9 +419,11 @@ type Sender struct {
 	// wake cuts sendLoop's idle nap short: Publish, Delete and Goodbye
 	// poke it so new work does not wait out the nap.
 	wake chan struct{}
-	done chan struct{}
-	wg   sync.WaitGroup
-	once sync.Once
+
+	stopRead func() // stops the feedback read loop (netio.Serve)
+	done     chan struct{}
+	wg       sync.WaitGroup
+	once     sync.Once
 }
 
 // NewSender constructs a publisher; call Start to begin announcing.
@@ -544,9 +546,9 @@ func (s *Sender) Start() {
 		panic("sstp: Start after StartDriven")
 	}
 	s.nextSummary = time.Now().Add(s.cfg.SummaryInterval)
-	s.wg.Add(2)
+	s.wg.Add(1)
 	go s.sendLoop()
-	go s.recvLoop()
+	s.serveFeedback()
 }
 
 // StartDriven launches only the feedback loop: announcement datagrams
@@ -560,8 +562,7 @@ func (s *Sender) Start() {
 func (s *Sender) StartDriven() {
 	s.driven = true
 	s.nextSummary = time.Now().Add(s.cfg.SummaryInterval)
-	s.wg.Add(1)
-	go s.recvLoop()
+	s.serveFeedback()
 }
 
 // NextWire returns the sender's next wire-ready datagram: a pending
@@ -656,8 +657,9 @@ func (s *Sender) encodeControl(msg protocol.Message) []byte {
 func (s *Sender) Close() error {
 	s.once.Do(func() {
 		close(s.done)
-		// Unblock the reader.
-		_ = s.cfg.Conn.SetReadDeadline(time.Now())
+		if s.stopRead != nil {
+			s.stopRead()
+		}
 		s.wg.Wait()
 		s.send(&protocol.Goodbye{})
 	})
@@ -1091,34 +1093,17 @@ func (s *Sender) pickRecord() bool {
 	}
 }
 
-// recvLoop handles feedback: NACKs, namespace queries, and receiver
-// reports.
-func (s *Sender) recvLoop() {
-	defer s.wg.Done()
-	bp := readBufPool.Get().(*[]byte)
-	defer readBufPool.Put(bp)
-	buf := *bp
+// serveFeedback starts the read loop that handles feedback: NACKs,
+// namespace queries, and receiver reports.
+func (s *Sender) serveFeedback() {
 	dec := protocol.NewDecoder()
-	for {
-		select {
-		case <-s.done:
-			return
-		default:
-		}
-		_ = s.cfg.Conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
-		n, _, err := s.cfg.Conn.ReadFrom(buf)
-		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				continue
-			}
-			return
-		}
-		hdr, msg, err := dec.Decode(buf[:n])
+	s.stopRead = netio.Serve(s.cfg.Conn, func(b []byte, _ net.Addr) {
+		hdr, msg, err := dec.Decode(b)
 		if err != nil || hdr.Session != s.cfg.Session {
-			continue
+			return
 		}
 		if hdr.Sender == s.cfg.SenderID {
-			continue // our own multicast loopback
+			return // our own multicast loopback
 		}
 		switch m := msg.(type) {
 		case *protocol.NACK:
@@ -1128,7 +1113,7 @@ func (s *Sender) recvLoop() {
 		case *protocol.Report:
 			s.onReport(m)
 		}
-	}
+	})
 }
 
 func (s *Sender) onNACK(m *protocol.NACK) {

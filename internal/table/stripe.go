@@ -122,15 +122,6 @@ func (sp *StripedPublisher) Put(key Key, value []byte, now, lifetime float64) ui
 	return v
 }
 
-// PutVersion inserts with a caller-supplied version (relay
-// write-through path).
-func (sp *StripedPublisher) PutVersion(key Key, value []byte, version uint64, now, lifetime float64) {
-	st := sp.stripe(key)
-	st.mu.Lock()
-	st.pub.PutVersion(key, value, version, now, lifetime)
-	st.mu.Unlock()
-}
-
 // Delete removes a record immediately, reporting whether it existed.
 func (sp *StripedPublisher) Delete(key Key) bool {
 	st := sp.stripe(key)
@@ -205,18 +196,6 @@ func (sp *StripedPublisher) NextExpiry(now float64) (float64, bool) {
 	return best, any
 }
 
-// ForEachStripe runs f for every stripe under that stripe's lock —
-// the composition hook for callers that need multi-operation atomicity
-// within a stripe (digest recompute, deterministic iteration in tests).
-func (sp *StripedPublisher) ForEachStripe(f func(i int, p *Publisher)) {
-	for i := range sp.stripes {
-		st := &sp.stripes[i]
-		st.mu.Lock()
-		f(i, st.pub)
-		st.mu.Unlock()
-	}
-}
-
 // subStripe pairs one Subscriber shard with its lock.
 type subStripe struct {
 	mu  sync.Mutex
@@ -257,9 +236,6 @@ func NewStripedSubscriber(n int) *StripedSubscriber {
 	}
 	return ss
 }
-
-// Stripes returns the stripe count (a power of two).
-func (ss *StripedSubscriber) Stripes() int { return len(ss.stripes) }
 
 func (ss *StripedSubscriber) stripe(key Key) *subStripe {
 	return &ss.stripes[StripeIndex(key, len(ss.stripes))]
@@ -338,14 +314,4 @@ func (ss *StripedSubscriber) NextDeadline(now float64) (float64, bool) {
 		}
 	}
 	return best, any
-}
-
-// ForEachStripe runs f for every stripe under that stripe's lock.
-func (ss *StripedSubscriber) ForEachStripe(f func(i int, s *Subscriber)) {
-	for i := range ss.stripes {
-		st := &ss.stripes[i]
-		st.mu.Lock()
-		f(i, st.sub)
-		st.mu.Unlock()
-	}
 }

@@ -50,8 +50,13 @@ type Inbox struct {
 	mu     sync.Mutex
 	closed atomic.Bool
 
+	// wake is closed and replaced whenever a deadline that has already
+	// passed is set, so readers blocked under an older deadline (or
+	// none) return a timeout at once. A future deadline leaves it be,
+	// so the deadline set before each read allocates nothing.
 	deadlineMu sync.Mutex
 	deadline   time.Time
+	wake       chan struct{}
 
 	overflows atomic.Uint64
 	total     *atomic.Uint64 // optional aggregate across inboxes
@@ -61,7 +66,7 @@ type Inbox struct {
 // drops are counted on the inbox and, when total is non-nil, on total
 // too — a network- or demux-wide count.
 func NewInbox(slots int, total *atomic.Uint64) *Inbox {
-	return &Inbox{ch: make(chan *packet, slots), total: total}
+	return &Inbox{ch: make(chan *packet, slots), wake: make(chan struct{}), total: total}
 }
 
 // Deliver copies b into the queue as a datagram from from. It reports
@@ -114,12 +119,12 @@ var timerPool = sync.Pool{New: func() any {
 }}
 
 // ReadFrom implements net.PacketConn's read: the next queued datagram,
-// a timeout error once the read deadline passes, or net.ErrClosed
-// after Close. A datagram already queued is returned without arming a
-// timer.
+// a timeout error once the read deadline passes or a past deadline is
+// set, or net.ErrClosed after Close. A datagram already queued is
+// returned without arming a timer.
 func (q *Inbox) ReadFrom(b []byte) (int, net.Addr, error) {
 	q.deadlineMu.Lock()
-	dl := q.deadline
+	dl, wake := q.deadline, q.wake
 	q.deadlineMu.Unlock()
 	var wait time.Duration
 	if !dl.IsZero() {
@@ -133,8 +138,12 @@ func (q *Inbox) ReadFrom(b []byte) (int, net.Addr, error) {
 	default:
 	}
 	if dl.IsZero() {
-		p, ok := <-q.ch
-		return q.take(b, p, ok)
+		select {
+		case p, ok := <-q.ch:
+			return q.take(b, p, ok)
+		case <-wake:
+			return 0, nil, timeoutError{}
+		}
 	}
 	// The module's go version keeps buffered timer channels, so a
 	// timer that fired unread must be drained before it is reused.
@@ -153,6 +162,8 @@ func (q *Inbox) ReadFrom(b []byte) (int, net.Addr, error) {
 	case p, ok := <-q.ch:
 		return q.take(b, p, ok)
 	case <-tm.C:
+		return 0, nil, timeoutError{}
+	case <-wake:
 		return 0, nil, timeoutError{}
 	}
 }
@@ -187,10 +198,15 @@ func (q *Inbox) Close() error {
 // SetDeadline implements net.PacketConn: only reads can time out.
 func (q *Inbox) SetDeadline(t time.Time) error { return q.SetReadDeadline(t) }
 
-// SetReadDeadline implements net.PacketConn.
+// SetReadDeadline implements net.PacketConn. A time not after now
+// wakes every blocked reader with a timeout.
 func (q *Inbox) SetReadDeadline(t time.Time) error {
 	q.deadlineMu.Lock()
 	q.deadline = t
+	if !t.IsZero() && !t.After(time.Now()) {
+		close(q.wake)
+		q.wake = make(chan struct{})
+	}
 	q.deadlineMu.Unlock()
 	return nil
 }

@@ -78,6 +78,51 @@ func TestInboxCloseWakesBlockedReader(t *testing.T) {
 	}
 }
 
+// TestInboxPastDeadlineWakesReaders parks two readers on an empty
+// inbox, one with no deadline and one under a 1 h deadline, then sets
+// a deadline of now: both return a timeout within 10 ms, as socket
+// readers do, and a later read under a future deadline still gets the
+// next datagram.
+func TestInboxPastDeadlineWakesReaders(t *testing.T) {
+	q := NewInbox(4, nil)
+	type result struct {
+		err error
+		at  time.Time
+	}
+	res := make(chan result, 2)
+	read := func() {
+		_, _, err := q.ReadFrom(make([]byte, 8))
+		res <- result{err, time.Now()}
+	}
+	go read() // blocked with no deadline
+	time.Sleep(20 * time.Millisecond)
+	_ = q.SetReadDeadline(time.Now().Add(time.Hour))
+	go read() // blocked under the 1 h deadline
+	time.Sleep(20 * time.Millisecond)
+	woke := time.Now()
+	_ = q.SetReadDeadline(woke)
+	for i := 0; i < 2; i++ {
+		select {
+		case r := <-res:
+			var ne net.Error
+			if !errors.As(r.err, &ne) || !ne.Timeout() {
+				t.Fatalf("woken reader returned %v, want a timeout", r.err)
+			}
+			if lag := r.at.Sub(woke); lag > 10*time.Millisecond {
+				t.Errorf("reader woke %v after the past deadline, want < 10ms", lag)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("a past deadline did not wake a blocked reader")
+		}
+	}
+	_ = q.SetReadDeadline(time.Now().Add(time.Second))
+	q.Deliver([]byte("x"), MemAddr("a"))
+	buf := make([]byte, 8)
+	if n, _, err := q.ReadFrom(buf); err != nil || n != 1 || buf[0] != 'x' {
+		t.Fatalf("read after the wake = (%d, %v), want the queued datagram", n, err)
+	}
+}
+
 // TestInboxConcurrentDeadlineReaders runs four readers with short
 // deadlines against one writer: every datagram is read exactly once,
 // and the readers' pooled timers never cross.

@@ -39,7 +39,6 @@ type MemNetwork struct {
 	down      map[[2]MemAddr]bool
 	addrbox   map[MemAddr]net.Addr // cached interface boxings of sources
 	defLoss   float64
-	defDelay  time.Duration
 	defJitter time.Duration
 
 	overflows atomic.Uint64 // datagrams dropped on a full inbox, all endpoints
@@ -107,14 +106,6 @@ func (n *MemNetwork) SetDelay(from, to MemAddr, d time.Duration) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.delay[[2]MemAddr{from, to}] = d
-}
-
-// SetDefaultDelay sets the propagation delay for paths without a
-// specific override.
-func (n *MemNetwork) SetDefaultDelay(d time.Duration) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.defDelay = d
 }
 
 // SetJitter sets the maximum extra delay on the directed path from →
@@ -260,10 +251,7 @@ func (n *MemNetwork) route(from MemAddr, to MemAddr, b []byte) {
 		if n.rnd.Bernoulli(p) {
 			continue
 		}
-		d, ok := n.delay[[2]MemAddr{from, tgt}]
-		if !ok {
-			d = n.defDelay
-		}
+		d := n.delay[[2]MemAddr{from, tgt}]
 		j, ok := n.jitter[[2]MemAddr{from, tgt}]
 		if !ok {
 			j = n.defJitter

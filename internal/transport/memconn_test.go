@@ -155,3 +155,33 @@ func TestMemNetworkDelay(t *testing.T) {
 		t.Errorf("delivered after %v, want ≥ 120ms", elapsed)
 	}
 }
+
+func TestMemNetworkDefaultLoss(t *testing.T) {
+	nw := transport.NewMemNetwork(83)
+	nw.SetDefaultLoss(1)
+	a := nw.Endpoint("a")
+	b := nw.Endpoint("b")
+	a.WriteTo([]byte("x"), transport.MemAddr("b"))
+	buf := make([]byte, 8)
+	_ = b.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+	if _, _, err := b.ReadFrom(buf); err == nil {
+		t.Fatal("default loss 1 still delivered")
+	}
+	// A per-path override beats the default.
+	nw.SetLoss("a", "b", 0)
+	a.WriteTo([]byte("y"), transport.MemAddr("b"))
+	_ = b.SetReadDeadline(time.Now().Add(time.Second))
+	if _, _, err := b.ReadFrom(buf); err != nil {
+		t.Fatalf("override did not apply: %v", err)
+	}
+}
+
+func TestMemNetworkLossValidation(t *testing.T) {
+	nw := transport.NewMemNetwork(84)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("loss > 1 accepted")
+		}
+	}()
+	nw.SetLoss("a", "b", 1.5)
+}

@@ -320,13 +320,6 @@ func NewStockTicker(n int, rate, horizon float64, rnd *xrand.Rand) *StockTicker 
 	return st
 }
 
-// Symbols returns the symbol key set.
-func (st *StockTicker) Symbols() []string {
-	out := make([]string, len(st.symbols))
-	copy(out, st.symbols)
-	return out
-}
-
 // Next implements Generator.
 func (st *StockTicker) Next() (Event, bool) {
 	st.now += st.rnd.Exp(st.rate)
